@@ -14,12 +14,14 @@ vet:
 	$(GO) test -race ./internal/metrics/... ./internal/sim/...
 	$(GO) test -race -short ./internal/netsim/... ./internal/tcpsim/... ./internal/ctrlplane/...
 
-# Custom analyzer suite (internal/analysis, driven by cmd/gqlint):
-# determinism, poolownership, spanlifecycle, hotpathalloc, unitsafety,
-# shardsafety. Must exit 0 on the whole tree; violations are either
-# fixed or carry an inline //lint:ignore justification (stale
-# directives are findings too). See docs/static-analysis.md.
+# Unformatted files (gofmt -l) fail the gate. Then the custom analyzer
+# suite (internal/analysis, driven by cmd/gqlint): determinism,
+# poolownership, spanlifecycle, hotpathalloc, unitsafety, shardsafety.
+# Must exit 0 on the whole tree; violations are either fixed or carry
+# an inline //lint:ignore justification (stale directives are findings
+# too). See docs/static-analysis.md.
 lint:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) run ./cmd/gqlint ./...
 
@@ -27,6 +29,7 @@ lint:
 # suppressed findings — is archived as JSON Lines for artifact upload.
 GQLINT_JSON ?= gqlint-diagnostics.jsonl
 lint-json:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) run ./cmd/gqlint -json ./... > $(GQLINT_JSON)
 	@echo "gqlint: $$(wc -l < $(GQLINT_JSON)) diagnostic record(s) in $(GQLINT_JSON)"

@@ -25,7 +25,7 @@
 //   - spanlifecycle: every Tracer.Begin result reaches End/EndStatus
 //     or a handoff on every path.
 //   - shardsafety:   single-kernel ownership in kernel-driven packages
-//     — the invariant the sharded-PDES refactor depends on.
+//     — the invariant parallel experiment sweeps depend on.
 //
 // The ownership analyses are interprocedural within a package: the
 // callgraph and summary subpackages compute per-function may-facts

@@ -67,7 +67,7 @@ var wallClockFns = map[string]bool{
 // call order).
 var emissionMethods = map[string]bool{
 	"Schedule": true, "At": true, "AtFunc": true, "After": true,
-	"AfterFunc": true, "AfterPrio": true, "AfterPrioFunc": true,
+	"AfterFunc": true, "AfterPrioFunc": true,
 	"Spawn": true, "Emit": true, "call": true, "transmit": true,
 	"Start": true, "Stop": true, "SetRate": true, "refreshFluid": true,
 }

@@ -1,28 +1,26 @@
-// Package shardsafety enforces the single-kernel ownership invariant
-// that the sharded-PDES refactor (ROADMAP: grid-scale topology)
-// depends on: every piece of mutable simulation state belongs to
-// exactly one kernel, and values owned by a kernel never leak to
-// another execution context behind its back.
+// Package shardsafety enforces the single-kernel ownership invariant:
+// every piece of mutable simulation state belongs to exactly one
+// kernel, and values owned by a kernel never leak to another execution
+// context behind its back. Experiment sweeps run many kernels in
+// parallel in one process (experiments.Sweep), and their output is
+// byte-identical at any -parallel only while this invariant holds.
 //
 // Concretely, inside the kernel-driven packages it reports:
 //
 //   - writes to package-level variables outside init: package state is
 //     shared by every kernel in a process, so a kernel callback that
-//     mutates it breaks shard isolation (and determinism under any
-//     partitioning).
+//     mutates it couples concurrently running kernels (and breaks
+//     determinism under parallel sweeps).
 //   - kernel-owned values (a *sim.Kernel, pooled packets and segments,
 //     fluid flows, event payloads, or any struct that hangs off a
 //     kernel) escaping into goroutines or package-level state — either
 //     directly, or through a same-package helper whose interprocedural
 //     summary (internal/analysis/summary) says the argument is
 //     go-captured or stored globally.
-//   - structs that own two kernels: cross-kernel traffic must flow
-//     through the sanctioned sim.ShardExchange interface, never by
-//     reaching into a second kernel's structures.
+//   - structs that own two kernels: each kernel's structures belong to
+//     that kernel alone.
 //
-// Methods named PostRemote are exempt: they implement
-// sim.ShardExchange, the one sanctioned crossing point, whose
-// implementations necessarily touch another shard's state.
+// Package init functions are exempt: they run before any kernel exists.
 package shardsafety
 
 import (
@@ -40,9 +38,8 @@ const doc = `enforce single-kernel ownership in kernel-driven packages
 Reports package-level mutable state written outside init, kernel-owned
 values (kernels, pooled packets/segments, fluid flows, event payloads,
 kernel-bearing structs) escaping into goroutines or globals — directly
-or through helpers — and structs owning two kernels. PostRemote methods
-(sim.ShardExchange implementations) are the sanctioned crossing point
-and are exempt.`
+or through helpers — and structs owning two kernels. Package init
+functions are exempt.`
 
 // Analyzer is the shardsafety pass.
 var Analyzer = &analysis.Analyzer{
@@ -92,15 +89,10 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// exempt reports whether fn is outside shardsafety's jurisdiction:
-// package init functions (they run before any kernel exists) and
-// PostRemote methods (sim.ShardExchange implementations, the one
-// sanctioned cross-shard crossing point).
+// exempt reports whether fn is a package init function, which runs
+// before any kernel exists.
 func exempt(fn *ast.FuncDecl) bool {
-	if fn.Recv == nil {
-		return fn.Name.Name == "init"
-	}
-	return fn.Name.Name == "PostRemote"
+	return fn.Recv == nil && fn.Name.Name == "init"
 }
 
 type checker struct {
@@ -135,7 +127,7 @@ func (c *checker) genDecl(d *ast.GenDecl) {
 		}
 		if kernels > 1 {
 			c.pass.Reportf(ts.Pos(),
-				"struct %s owns %d kernels; cross-kernel traffic must go through sim.ShardExchange",
+				"struct %s owns %d kernels; kernel-owned state must belong to one kernel",
 				ts.Name.Name, kernels)
 		}
 	}

@@ -24,27 +24,11 @@ type Network struct {
 	free []*Packet
 }
 
-// bridge reaches into two kernels at once: cross-kernel traffic must
-// go through sim.ShardExchange instead.
-type bridge struct { // want `struct bridge owns 2 kernels; cross-kernel traffic must go through sim.ShardExchange`
+// bridge reaches into two kernels at once: each kernel's structures
+// belong to that kernel alone.
+type bridge struct { // want `struct bridge owns 2 kernels; kernel-owned state must belong to one kernel`
 	left  *Kernel
 	right *Kernel
-}
-
-// exchange owns one kernel: fine.
-type exchange struct {
-	k   *Kernel
-	dst int
-}
-
-// PostRemote is the sanctioned crossing point: sim.ShardExchange
-// implementations may touch foreign state without findings.
-var remoteInbox []*Packet
-
-func (x *exchange) PostRemote(dst int, at time.Duration, payload any) {
-	if p, ok := payload.(*Packet); ok {
-		remoteInbox = append(remoteInbox, p) // exempt: inside PostRemote
-	}
 }
 
 // --- package-level state ---

@@ -10,12 +10,12 @@ type Span struct {
 	open bool
 }
 
-func (s *Span) Int(key string, v int64) *Span  { return s }
-func (s *Span) Str(key, val string) *Span      { return s }
-func (s *Span) SetStatus(st Status) *Span      { return s }
-func (s *Span) End()                           {}
-func (s *Span) EndStatus(st Status)            {}
-func (s *Span) SpanID() uint64                 { return 0 }
+func (s *Span) Int(key string, v int64) *Span { return s }
+func (s *Span) Str(key, val string) *Span     { return s }
+func (s *Span) SetStatus(st Status) *Span     { return s }
+func (s *Span) End()                          {}
+func (s *Span) EndStatus(st Status)           {}
+func (s *Span) SpanID() uint64                { return 0 }
 
 type Tracer struct{}
 

@@ -12,7 +12,6 @@
 package broker
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -20,11 +19,6 @@ import (
 	"mpichgq/internal/metrics"
 	"mpichgq/internal/units"
 )
-
-// ErrBrownout marks a request shed by the broker's brownout mode: the
-// control plane is overloaded and the request's class is below the
-// current admission bar. Match with errors.Is.
-var ErrBrownout = errors.New("broker: shed by brownout")
 
 // Principal identifies a requesting user or project.
 type Principal string
@@ -66,15 +60,7 @@ type Broker struct {
 	seen map[*gara.Reservation]gara.State
 	log  []Decision
 
-	// brownout is the degradation level under control-plane overload:
-	// 0 admits every class, 1 sheds best-effort, 2 admits premium
-	// only. Usually mirrored from the admission queue's level (see
-	// ctrlplane Server.SetBrownoutSink).
-	brownout int
-
 	mReleased *metrics.Counter
-	mShed     *metrics.Counter
-	gBrownout *metrics.Gauge
 }
 
 // New returns a broker over g. The fallback policy applies to
@@ -88,40 +74,6 @@ func New(g *gara.Gara, fallback Policy) *Broker {
 		seen:     make(map[*gara.Reservation]gara.State),
 		mReleased: g.Kernel().Metrics().Counter("broker_quota_released_total",
 			"reservations whose principal quota was released by reconciliation"),
-		mShed: g.Kernel().Metrics().Counter("broker_brownout_shed_total",
-			"requests shed by the broker's brownout mode"),
-		gBrownout: g.Kernel().Metrics().Gauge("broker_brownout_level",
-			"broker brownout level (0 none, 1 shed best-effort, 2 premium only)"),
-	}
-}
-
-// SetBrownout sets the brownout level (clamped to 0..2). Level 1
-// sheds ClassBestEffort requests, level 2 everything below
-// ClassPremium — lower classes always yield first, so premium
-// admission degrades last.
-func (b *Broker) SetBrownout(level int) {
-	if level < 0 {
-		level = 0
-	}
-	if level > 2 {
-		level = 2
-	}
-	b.brownout = level
-	b.gBrownout.Set(float64(level))
-}
-
-// Brownout returns the current brownout level.
-func (b *Broker) Brownout() int { return b.brownout }
-
-// admitsClass reports whether the brownout level admits c.
-func (b *Broker) admitsClass(c gara.Class) bool {
-	switch b.brownout {
-	case 0:
-		return true
-	case 1:
-		return c >= gara.ClassNormal
-	default:
-		return c >= gara.ClassPremium
 	}
 }
 
@@ -222,12 +174,6 @@ func (b *Broker) Request(who Principal, spec gara.Spec) (*gara.Reservation, erro
 	deny := func(reason string) (*gara.Reservation, error) {
 		b.log = append(b.log, Decision{T: now, Who: who, Spec: spec, Reason: reason})
 		return nil, fmt.Errorf("broker: %s", reason)
-	}
-	if !b.admitsClass(spec.Class) {
-		b.mShed.Inc()
-		reason := fmt.Sprintf("brownout level %d sheds class %s", b.brownout, spec.Class)
-		b.log = append(b.log, Decision{T: now, Who: who, Spec: spec, Reason: reason})
-		return nil, fmt.Errorf("%w: %s", ErrBrownout, reason)
 	}
 	if pol.MaxDuration > 0 && (spec.Duration <= 0 || spec.Duration > pol.MaxDuration) {
 		return deny(fmt.Sprintf("duration %v exceeds policy limit %v", spec.Duration, pol.MaxDuration))

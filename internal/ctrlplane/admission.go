@@ -135,9 +135,8 @@ type admitQueue struct {
 	// began (0 = not in one).
 	aboveAt time.Duration
 
-	level       int // brownout level 0..2
-	levelSince  time.Duration
-	sink        brownoutSink // mirrors level changes into the policy broker
+	level      int // brownout level 0..2
+	levelSince time.Duration
 
 	mShed       [len(shedReasonNames)]*metrics.Counter
 	mServed     *metrics.Counter
@@ -397,16 +396,7 @@ func (q *admitQueue) setLevel(level int) {
 	q.levelSince = q.k.Now()
 	q.gLevel.Set(float64(level))
 	q.rec.Emit(metrics.EvBrownout, q.name, int64(level), int64(prev), int64(q.depth))
-	if q.sink != nil {
-		q.sink.SetBrownout(level)
-	}
 }
-
-// brownoutSink lets the admission queue mirror its level into the
-// policy broker above the Gara (internal/broker), so quota decisions
-// follow the same degradation ladder. Declared structurally to avoid
-// an import cycle; wire one with Server.SetBrownoutSink.
-type brownoutSink interface{ SetBrownout(int) }
 
 // wipe drops every queued request without replies — the server
 // crashed, so from the clients' side everything in flight simply

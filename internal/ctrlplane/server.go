@@ -85,15 +85,6 @@ func (s *Server) EnableAdmission(cfg Admission) {
 // Admission returns the overload-control layer, or nil when disabled.
 func (s *Server) Admission() *admitQueue { return s.adm }
 
-// SetBrownoutSink mirrors admission brownout-level changes into the
-// policy broker above this domain's Gara (e.g. *broker.Broker), so
-// quota decisions follow the same degradation ladder.
-func (s *Server) SetBrownoutSink(sink interface{ SetBrownout(int) }) {
-	if s.adm != nil {
-		s.adm.sink = sink
-	}
-}
-
 // QueueDepth returns the admission queue depth (0 when admission is
 // disabled).
 func (s *Server) QueueDepth() int {

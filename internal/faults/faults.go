@@ -11,7 +11,7 @@
 //		LinkUp(32*time.Second, "edge1-core")
 //	sc.Apply(net)
 //
-// — or fetched from the registry by name (see Register/Build), which
+// — or fetched from the registry by name (see Build), which
 // is how `cmd/garnet` and the chaos tests share canned scenarios.
 // Faults reference links and nodes by name and resolve them at Apply
 // time, so one scenario can run against any topology that has them.

@@ -9,17 +9,25 @@ import (
 )
 
 // registry maps scenario names to builders. Builders (not instances)
-// are registered so each Build returns a fresh scenario.
-var registry = map[string]func() *Scenario{}
-
-// Register adds a named scenario builder. Duplicate names panic:
-// scenarios are registered at init time and a collision is a bug.
-func Register(name string, build func() *Scenario) {
-	if _, dup := registry[name]; dup {
-		panic("faults: duplicate scenario " + name)
-	}
-	//lint:ignore shardsafety Register is only called from init functions, before any kernel exists; the registry is read-only for the rest of the process
-	registry[name] = build
+// are stored so each Build returns a fresh scenario. The canned
+// scenarios run against the GARNET testbed's link and node names
+// (package garnet); times are virtual seconds from the start of the
+// run, and experiments that scale time build their own scenarios
+// instead.
+var registry = map[string]func() *Scenario{
+	"wan-flap": func() *Scenario {
+		return NewScenario("wan-flap").
+			Flap("edge1-core", 20*time.Second, 32*time.Second)
+	},
+	"core-outage": func() *Scenario {
+		return NewScenario("core-outage").
+			NodeDown(20*time.Second, "core").
+			NodeUp(32*time.Second, "core")
+	},
+	"lossy-wan": func() *Scenario {
+		return NewScenario("lossy-wan").
+			Loss("edge1-core", 10*time.Second, 40*time.Second, 0.02)
+	},
 }
 
 // Build returns a fresh instance of the named scenario, or false.
@@ -39,25 +47,6 @@ func Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Canned scenarios against the GARNET testbed's link and node names
-// (package garnet). Times are virtual seconds from the start of the
-// run; experiments that scale time build their own scenarios instead.
-func init() {
-	Register("wan-flap", func() *Scenario {
-		return NewScenario("wan-flap").
-			Flap("edge1-core", 20*time.Second, 32*time.Second)
-	})
-	Register("core-outage", func() *Scenario {
-		return NewScenario("core-outage").
-			NodeDown(20*time.Second, "core").
-			NodeUp(32*time.Second, "core")
-	})
-	Register("lossy-wan", func() *Scenario {
-		return NewScenario("lossy-wan").
-			Loss("edge1-core", 10*time.Second, 40*time.Second, 0.02)
-	})
 }
 
 // RankMTBF builds a randomized rank-failure scenario: each named rank

@@ -13,6 +13,7 @@ package mpi
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"mpichgq/internal/dsrt"
@@ -497,7 +498,18 @@ func (r *Rank) Finalize(ctx *sim.Ctx) error {
 		return err
 	}
 	r.finalized = true
-	for peer, conn := range r.conns {
+	// Tear down in peer order: Drain blocks, so map order would make
+	// the teardown schedule differ from run to run.
+	peers := make([]int, 0, len(r.conns))
+	for peer := range r.conns {
+		peers = append(peers, peer)
+	}
+	sort.Ints(peers)
+	for _, peer := range peers {
+		conn := r.conns[peer]
+		if conn == nil {
+			continue // peerDown dropped it while an earlier Drain blocked
+		}
 		// Drain may fail if the peer closed first; proceed to Close
 		// regardless — teardown is best effort past the barrier.
 		_ = conn.Drain(ctx)

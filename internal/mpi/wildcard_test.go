@@ -16,9 +16,9 @@ import (
 func TestWildcardRecvRacesEagerAndRendezvous(t *testing.T) {
 	const perSender = 12
 	k, j := testJob(3, JobOptions{EagerThreshold: 16 * units.KB})
-	eager := 4 * units.KB    // below threshold: eager protocol
-	rdv := 256 * units.KB    // above threshold: RTS/CTS rendezvous
-	got := map[int][]int{}   // src -> sequence numbers in arrival order
+	eager := 4 * units.KB  // below threshold: eager protocol
+	rdv := 256 * units.KB  // above threshold: RTS/CTS rendezvous
+	got := map[int][]int{} // src -> sequence numbers in arrival order
 	var lens = map[int]units.ByteSize{}
 	j.Start(func(ctx *sim.Ctx, r *Rank) {
 		w := r.World()

@@ -64,6 +64,17 @@ func TestKernelAfterFuncZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("AfterFunc+Cancel allocates %.1f objects per event, want 0", allocs)
 	}
+	// The closure form routes through the prebound callFunc with the
+	// closure boxed in a0; a capture-free closure must stay free.
+	allocs = testing.AllocsPerRun(1000, func() {
+		k.After(time.Microsecond, func() {})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("After(closure)+Run allocates %.1f objects per event, want 0", allocs)
+	}
 }
 
 // TestCancelKeepsQueueBounded is the regression test for the old lazy
@@ -123,65 +134,40 @@ func TestTimerHandleStaleness(t *testing.T) {
 	}
 }
 
-// The dense-kernel benchmarks are the event-queue bakeoff: the 4-ary
-// indexed heap that ships in the kernel against the Brown calendar
-// queue (calqueue.go), run on the classic hold model — a queue held at
-// a fixed population while every iteration dequeues the minimum and
-// schedules a successor a random gap ahead. This is the steady-state
-// shape of a packet simulation: the population is the number of
-// in-flight timers and packets. The verdict (and why the kernel keeps
-// the heap or switched) is recorded in docs/performance.md.
-
-// holdQueue is what the hold model needs from a contender.
-type holdQueue interface {
-	push(*event)
-	popMin() *event
-}
-
-// heapAdapter lifts eventHeap's pointer methods into holdQueue.
-type heapAdapter struct{ h eventHeap }
-
-func (a *heapAdapter) push(e *event)  { a.h.push(e) }
-func (a *heapAdapter) popMin() *event { return a.h.popMin() }
-
-func benchmarkKernelDense(b *testing.B, n int, q holdQueue) {
-	rng := NewRNG(1)
-	var seq uint64
-	// Preload the steady-state population, uniformly spread so the
-	// initial occupancy matches the hold distribution.
-	for i := 0; i < n; i++ {
-		seq++
-		q.push(&event{
-			at:    time.Duration(int64(rng.Intn(n * int(time.Microsecond)))),
-			seq:   seq,
-			index: -1,
-		})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := q.popMin()
-		seq++
-		// Mean gap of n/2 µs keeps the population's time spread
-		// stationary at any n.
-		e.at += time.Duration(int64(rng.Intn(n * int(time.Microsecond))))
-		e.seq = seq
-		q.push(e)
-	}
-}
-
+// BenchmarkKernelDenseHeap runs the kernel's 4-ary indexed heap on the
+// classic hold model: a queue held at a fixed population while every
+// iteration dequeues the minimum and schedules a successor a random gap
+// ahead. This is the steady-state shape of a packet simulation: the
+// population is the number of in-flight timers and packets. The
+// event-queue bakeoff that kept the heap is recorded in
+// docs/performance.md.
 func BenchmarkKernelDenseHeap(b *testing.B) {
 	for _, n := range []int{256, 4096, 65536} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			benchmarkKernelDense(b, n, &heapAdapter{})
-		})
-	}
-}
-
-func BenchmarkKernelDenseCalendar(b *testing.B) {
-	for _, n := range []int{256, 4096, 65536} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			benchmarkKernelDense(b, n, newCalQueue(time.Duration(n/2)*time.Microsecond, 8))
+			var q eventHeap
+			rng := NewRNG(1)
+			var seq uint64
+			// Preload the steady-state population, uniformly spread so
+			// the initial occupancy matches the hold distribution.
+			for i := 0; i < n; i++ {
+				seq++
+				q.push(&event{
+					at:    time.Duration(int64(rng.Intn(n * int(time.Microsecond)))),
+					seq:   seq,
+					index: -1,
+				})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e := q.popMin()
+				seq++
+				// Mean gap of n/2 µs keeps the population's time spread
+				// stationary at any n.
+				e.at += time.Duration(int64(rng.Intn(n * int(time.Microsecond))))
+				e.seq = seq
+				q.push(e)
+			}
 		})
 	}
 }

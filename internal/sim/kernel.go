@@ -55,11 +55,10 @@ type event struct {
 	index int32 // position in the heap, -1 when not queued
 	seq   uint64
 	gen   uint64
-	// Exactly one of fn / afn is set. afn receives the two scheduling
-	// arguments, letting hot paths schedule prebound functions without
-	// allocating a closure.
-	fn     func()
-	afn    func(a0, a1 any)
+	// fn receives the two scheduling arguments, letting hot paths
+	// schedule prebound functions without allocating a closure. The
+	// closure forms (At, After) schedule callFunc with the closure as a0.
+	fn     func(a0, a1 any)
 	a0, a1 any
 	owner  *Kernel
 }
@@ -170,7 +169,7 @@ type Kernel struct {
 	free  []*event // recycled event structs
 	seq   uint64
 	rng   *RNG
-	procs []*Proc
+	procs []*Proc // live processes; finished ones are removed
 	// cur is the process currently executing, nil when the kernel
 	// itself (an event callback) is running.
 	cur     *Proc
@@ -258,54 +257,54 @@ func (k *Kernel) newEvent() *event {
 // and returns it to the freelist.
 func (k *Kernel) recycle(e *event) {
 	e.gen++
-	e.fn, e.afn, e.a0, e.a1 = nil, nil, nil, nil
+	e.fn, e.a0, e.a1 = nil, nil, nil
 	k.free = append(k.free, e)
 }
 
-func (k *Kernel) schedule(at time.Duration, prio int, fn func(), afn func(a0, a1 any), a0, a1 any) Timer {
+func (k *Kernel) schedule(at time.Duration, prio int, fn func(a0, a1 any), a0, a1 any) Timer {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: event scheduled in the past (at=%v now=%v)", at, k.now))
 	}
 	k.seq++
 	e := k.newEvent()
 	e.at, e.prio, e.seq = at, int32(prio), k.seq
-	e.fn, e.afn, e.a0, e.a1 = fn, afn, a0, a1
+	e.fn, e.a0, e.a1 = fn, a0, a1
 	k.queue.push(e)
 	return Timer{e: e, gen: e.gen}
 }
+
+// callFunc is the prebound callback behind the closure forms: a0 holds
+// the closure. A func value stored in an interface does not allocate.
+func callFunc(a0, _ any) { a0.(func())() }
 
 // At schedules fn to run at absolute virtual time at with the given
 // priority. Scheduling in the past (before Now) panics: that is always
 // a logic error in a simulation.
 func (k *Kernel) At(at time.Duration, prio int, fn func()) Timer {
-	return k.schedule(at, prio, fn, nil, nil, nil)
+	return k.schedule(at, prio, callFunc, fn, nil)
 }
 
 // AtFunc is At for hot paths: fn is called with the two scheduling
 // arguments, so callers can pass a prebound package-level function and
 // pointer arguments without allocating a closure per event.
 func (k *Kernel) AtFunc(at time.Duration, prio int, fn func(a0, a1 any), a0, a1 any) Timer {
-	return k.schedule(at, prio, nil, fn, a0, a1)
+	return k.schedule(at, prio, fn, a0, a1)
 }
 
 // After schedules fn to run d from now at normal priority.
 func (k *Kernel) After(d time.Duration, fn func()) Timer {
-	return k.schedule(k.now+d, PrioNormal, fn, nil, nil, nil)
-}
-
-// AfterPrio schedules fn to run d from now at the given priority.
-func (k *Kernel) AfterPrio(d time.Duration, prio int, fn func()) Timer {
-	return k.schedule(k.now+d, prio, fn, nil, nil, nil)
+	return k.schedule(k.now+d, PrioNormal, callFunc, fn, nil)
 }
 
 // AfterFunc is After's closure-free variant; see AtFunc.
 func (k *Kernel) AfterFunc(d time.Duration, fn func(a0, a1 any), a0, a1 any) Timer {
-	return k.schedule(k.now+d, PrioNormal, nil, fn, a0, a1)
+	return k.schedule(k.now+d, PrioNormal, fn, a0, a1)
 }
 
-// AfterPrioFunc is AfterPrio's closure-free variant; see AtFunc.
+// AfterPrioFunc schedules fn to run d from now at the given priority;
+// see AtFunc.
 func (k *Kernel) AfterPrioFunc(d time.Duration, prio int, fn func(a0, a1 any), a0, a1 any) Timer {
-	return k.schedule(k.now+d, prio, nil, fn, a0, a1)
+	return k.schedule(k.now+d, prio, fn, a0, a1)
 }
 
 // Stop makes Run return after the current event completes. Pending
@@ -356,13 +355,9 @@ func (k *Kernel) run(deadline time.Duration) error {
 		// Recycle before invoking: the callback may schedule new
 		// events, which can then reuse this struct, and any Timer
 		// handle to this event must already read as fired.
-		fn, afn, a0, a1 := next.fn, next.afn, next.a0, next.a1
+		fn, a0, a1 := next.fn, next.a0, next.a1
 		k.recycle(next)
-		if fn != nil {
-			fn()
-		} else {
-			afn(a0, a1)
-		}
+		fn(a0, a1)
 	}
 	return k.err
 }
@@ -378,7 +373,7 @@ func (k *Kernel) PendingEvents() int { return len(k.queue) }
 func (k *Kernel) BlockedProcs() []string {
 	var names []string
 	for _, p := range k.procs {
-		if !p.done && p.blocked {
+		if p.blocked {
 			names = append(names, p.name)
 		}
 	}
@@ -388,12 +383,4 @@ func (k *Kernel) BlockedProcs() []string {
 
 // LiveProcs returns the number of spawned processes that have not
 // finished.
-func (k *Kernel) LiveProcs() int {
-	n := 0
-	for _, p := range k.procs {
-		if !p.done {
-			n++
-		}
-	}
-	return n
-}
+func (k *Kernel) LiveProcs() int { return len(k.procs) }

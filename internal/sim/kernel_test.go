@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -218,6 +219,34 @@ func TestBlockedProcs(t *testing.T) {
 	}
 	if k.LiveProcs() != 1 {
 		t.Fatalf("live = %d, want 1", k.LiveProcs())
+	}
+}
+
+// TestFinishedProcsLeaveKernel pins that the kernel forgets a process
+// once it returns: a spawn-per-arrival workload must not keep every
+// finished Proc (and its channels) reachable for the kernel's lifetime.
+func TestFinishedProcsLeaveKernel(t *testing.T) {
+	k := New(1)
+	const n = 100
+	for i := 0; i < n; i++ {
+		// Finish out of spawn order so removal hits every position.
+		d := time.Duration((i*37)%n) * time.Millisecond
+		k.Spawn(fmt.Sprintf("p%d", i), func(ctx *Ctx) { ctx.Sleep(d) })
+	}
+	if err := k.RunFor(50 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if live := k.LiveProcs(); live != n/2-1 {
+		t.Fatalf("mid-run live = %d, want %d", live, n/2-1)
+	}
+	if got := len(k.BlockedProcs()); got != n/2-1 {
+		t.Fatalf("mid-run blocked = %d, want %d", got, n/2-1)
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(k.procs) != 0 || k.LiveProcs() != 0 {
+		t.Fatalf("after run: %d procs held, LiveProcs = %d, want 0", len(k.procs), k.LiveProcs())
 	}
 }
 

@@ -13,6 +13,7 @@ type Proc struct {
 	name    string
 	resume  chan struct{}
 	yield   chan struct{}
+	idx     int // position in k.procs while live
 	done    bool
 	blocked bool
 }
@@ -39,6 +40,7 @@ func (k *Kernel) SpawnAt(at time.Duration, name string, fn func(ctx *Ctx)) *Proc
 		name:   name,
 		resume: make(chan struct{}),
 		yield:  make(chan struct{}),
+		idx:    len(k.procs),
 	}
 	k.procs = append(k.procs, p)
 	ctx := &Ctx{k: k, p: p}
@@ -77,6 +79,20 @@ func (k *Kernel) step(p *Proc) {
 	p.resume <- struct{}{}
 	<-p.yield
 	k.cur = prev
+	if p.done {
+		k.dropProc(p)
+	}
+}
+
+// dropProc swap-removes a finished process from k.procs, so the kernel
+// holds only live processes and a finished one becomes garbage.
+func (k *Kernel) dropProc(p *Proc) {
+	n := len(k.procs) - 1
+	last := k.procs[n]
+	k.procs[p.idx] = last
+	last.idx = p.idx
+	k.procs[n] = nil
+	k.procs = k.procs[:n]
 }
 
 // park suspends the calling process goroutine and returns control to

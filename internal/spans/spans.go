@@ -191,8 +191,8 @@ type Span struct {
 	Subject string
 	// Start is the sim-kernel time Begin was called; Dur the virtual
 	// time until End.
-	Start time.Duration
-	Dur   time.Duration
+	Start  time.Duration
+	Dur    time.Duration
 	Status Status
 	Attrs  []Attr
 
