@@ -25,9 +25,9 @@ type Config struct {
 	// paper's timelines; tests use less).
 	TimeScale float64
 	// Parallel caps the worker count for sweep-style experiments
-	// (fig5, fig6, fig7, figF, figG). <= 0 means one worker per CPU. The
-	// worker count never changes experiment output, only wall-clock
-	// time: every sweep point runs on its own kernel.
+	// (fig5, fig6, fig7, figF, figG, table1). <= 0 means one worker
+	// per CPU. The worker count never changes experiment output, only
+	// wall-clock time: every sweep point runs on its own kernel.
 	Parallel int
 	// Trace, when non-nil, enables causal tracing on every sweep
 	// point's kernel and collects the completed spans keyed by point

@@ -50,23 +50,13 @@ func RunISvsDS(cfg Config, nFlows int) ISvsDSResult {
 			// the DS domain are irrelevant for these flows.
 			rsvp = intserv.NewRSVP(tb.Net)
 		}
-		var rx int64
-		sink := tb.PremDst.UDPStack()
-		for i := 0; i < nFlows; i++ {
-			port := netsim.Port(6000 + i)
-			s, err := sink.Bind(port)
+		sinks := make([]*netsim.UDPSocket, nFlows)
+		for i := range sinks {
+			s, err := tb.PremDst.UDPStack().BindSink(netsim.Port(6000 + i))
 			if err != nil {
 				panic(err)
 			}
-			tb.K.Spawn(fmt.Sprintf("sink-%d", i), func(ctx *sim.Ctx) {
-				for {
-					dg, err := s.Recv(ctx)
-					if err != nil {
-						return
-					}
-					rx += int64(dg.Len)
-				}
-			})
+			sinks[i] = s
 		}
 		src := tb.PremSrc.UDPStack()
 		for i := 0; i < nFlows; i++ {
@@ -102,6 +92,11 @@ func RunISvsDS(cfg Config, nFlows int) ISvsDSResult {
 		}
 		if err := tb.K.RunUntil(dur); err != nil {
 			panic(err)
+		}
+		var rx int64
+		for _, s := range sinks {
+			_, bytes := s.RxStats()
+			rx += bytes
 		}
 		perFlowAchieved := units.RateOf(units.ByteSize(rx), dur) / units.BitRate(nFlows)
 		return perFlowAchieved, tb, rsvp

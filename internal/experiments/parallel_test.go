@@ -78,6 +78,8 @@ func TestFiguresDeterministicAcrossParallel(t *testing.T) {
 			return FigureFTable(r).String() + fmt.Sprintf("%d/%d/%d", r.Repairs, r.Fallbacks, r.Upgrades)
 		}},
 		{"figG", func(cfg Config) string { return FigureGTable(RunFigureG(cfg)).String() }},
+		{"table1", func(cfg Config) string { return Table1Render(RunTable1(cfg)).String() }},
+		{"isvsds", func(cfg Config) string { return ISvsDSTable(RunISvsDS(cfg, 8)).String() }},
 		// Fluid-background variants: the hybrid model must hold the
 		// same invariant. Its lazy queue integration and fixed-point
 		// rate solver run inside each point's own kernel, so worker

@@ -39,15 +39,25 @@ var Table1Rates = []units.BitRate{
 // normal bucket depth, "the very bursty configuration needs an
 // approximately 50% larger reservation"; the large bucket restores
 // the 10 fps requirement.
+//
+// The twelve binary searches (four rates, three columns) are
+// independent and each builds its own testbeds at cfg.Seed, so they
+// fan out through Sweep and the table is the same at any Parallel.
 func RunTable1(cfg Config) Table1Result {
 	cfg = cfg.withDefaults()
-	var out Table1Result
-	for _, desired := range Table1Rates {
-		row := Table1Row{Desired: desired}
-		row.Normal10fps = requiredReservation(cfg, desired, 10, diffserv.NormalBucketDivisor)
-		row.Normal1fps = requiredReservation(cfg, desired, 1, diffserv.NormalBucketDivisor)
-		row.Large1fps = requiredReservation(cfg, desired, 1, diffserv.LargeBucketDivisor)
-		out.Rows = append(out.Rows, row)
+	columns := [...]struct{ fps, bucketDivisor int }{
+		{10, diffserv.NormalBucketDivisor},
+		{1, diffserv.NormalBucketDivisor},
+		{1, diffserv.LargeBucketDivisor},
+	}
+	nc := len(columns)
+	rsv := Sweep(cfg.Parallel, len(Table1Rates)*nc, func(i int) units.BitRate {
+		c := columns[i%nc]
+		return requiredReservation(cfg, Table1Rates[i/nc], c.fps, c.bucketDivisor)
+	})
+	out := Table1Result{Rows: make([]Table1Row, len(Table1Rates))}
+	for r, desired := range Table1Rates {
+		out.Rows[r] = Table1Row{Desired: desired, Normal10fps: rsv[r*nc], Normal1fps: rsv[r*nc+1], Large1fps: rsv[r*nc+2]}
 	}
 	return out
 }

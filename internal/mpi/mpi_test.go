@@ -719,3 +719,40 @@ func TestWtimeAdvances(t *testing.T) {
 		t.Fatalf("Wtime delta = %v, want 1.5", t1-t0)
 	}
 }
+
+// TestFinalizeHigherRankFirst makes rank 2 tear down before rank 0
+// reaches it: rank 0 first sends rank 1 a large message, which holds
+// up rank 0's barrier exit and its drain towards rank 1, so rank 2
+// closes its connection to rank 0 before rank 0's teardown gets
+// there. Rank 0's reader sees the stream end first; the connection
+// must still be closed on both ends.
+func TestFinalizeHigherRankFirst(t *testing.T) {
+	k, j := testJob(3, JobOptions{EagerThreshold: 8 * units.MB})
+	finished := make([]time.Duration, 3)
+	j.Start(func(ctx *sim.Ctx, r *Rank) {
+		if r.ID() == 0 {
+			if err := r.Send(ctx, r.World(), 1, 0, 4*units.MB, nil); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if err := r.Finalize(ctx); err != nil {
+			t.Error(err)
+		}
+		finished[r.ID()] = ctx.Now()
+	})
+	if err := k.RunUntil(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if !j.Done() {
+		t.Fatal("job incomplete")
+	}
+	if finished[2] >= finished[0] {
+		t.Fatalf("rank 2 finalized at %v, rank 0 at %v: the test needs rank 2 first", finished[2], finished[0])
+	}
+	for i := 0; i < j.Size(); i++ {
+		if n := j.Rank(i).Host().TCP.ConnCount(); n != 0 {
+			t.Errorf("rank %d leaked %d connections", i, n)
+		}
+	}
+}

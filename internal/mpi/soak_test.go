@@ -74,6 +74,11 @@ func TestSoak16Ranks(t *testing.T) {
 	if errs > 0 {
 		t.Fatalf("%d errors", errs)
 	}
+	for i := 0; i < n; i++ {
+		if c := j.Rank(i).Host().TCP.ConnCount(); c != 0 {
+			t.Errorf("rank %d leaked %d connections", i, c)
+		}
+	}
 }
 
 func TestRecvFromFinishedRankFails(t *testing.T) {

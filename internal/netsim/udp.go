@@ -52,19 +52,35 @@ func (s *UDPStack) HandlePacket(p *Packet) {
 		s.node.net.FreePacket(p)
 		return
 	}
-	sock.inbox.Send(&Datagram{
-		From:     p.Src,
-		FromPort: p.SrcPort,
-		Len:      p.PayloadLen,
-		DSCP:     p.DSCP,
-		Payload:  p.Payload,
-	})
+	sock.rxDatagrams++
+	sock.rxBytes += int64(p.PayloadLen)
+	if sock.inbox != nil {
+		sock.inbox.Send(&Datagram{
+			From:     p.Src,
+			FromPort: p.SrcPort,
+			Len:      p.PayloadLen,
+			DSCP:     p.DSCP,
+			Payload:  p.Payload,
+		})
+	}
 	s.node.net.FreePacket(p)
 }
 
 // Bind opens a socket on the given port; port 0 picks an ephemeral
 // port.
 func (s *UDPStack) Bind(port Port) (*UDPSocket, error) {
+	return s.bind(port, sim.NewMailbox(s.node.net.k))
+}
+
+// BindSink opens a sink socket on the given port: it has no inbox, so
+// arriving datagrams are counted (see RxStats) and freed inside the
+// stack, with no Datagram, queueing or process wakeup. Background
+// traffic that only needs to be absorbed binds one.
+func (s *UDPStack) BindSink(port Port) (*UDPSocket, error) {
+	return s.bind(port, nil)
+}
+
+func (s *UDPStack) bind(port Port, inbox *sim.Mailbox) (*UDPSocket, error) {
 	if port == 0 {
 		for s.sockets[s.nextPort] != nil {
 			s.nextPort++
@@ -74,11 +90,7 @@ func (s *UDPStack) Bind(port Port) (*UDPSocket, error) {
 	} else if s.sockets[port] != nil {
 		return nil, fmt.Errorf("netsim: udp port %d on %q in use", port, s.node.name)
 	}
-	sock := &UDPSocket{
-		stack: s,
-		port:  port,
-		inbox: sim.NewMailbox(s.node.net.k),
-	}
+	sock := &UDPSocket{stack: s, port: port, inbox: inbox}
 	s.sockets[port] = sock
 	return sock, nil
 }
@@ -93,16 +105,19 @@ func (s *UDPStack) RxDrops() uint64 { return s.rxDrops }
 // ErrClosed is returned by operations on a closed socket.
 var ErrClosed = errors.New("netsim: socket closed")
 
+// ErrSink is returned by Recv on a sink socket, which queues nothing.
+var ErrSink = errors.New("netsim: receive on a sink socket")
+
 // UDPSocket is a bound UDP endpoint.
 type UDPSocket struct {
 	stack  *UDPStack
 	port   Port
-	inbox  *sim.Mailbox
+	inbox  *sim.Mailbox // nil for a sink socket
 	dscp   DSCP
 	closed bool
 
-	txDatagrams uint64
-	txBytes     int64
+	txDatagrams, rxDatagrams uint64
+	txBytes, rxBytes         int64
 }
 
 // Port returns the bound local port.
@@ -137,12 +152,13 @@ func (u *UDPSocket) SendTo(dst Addr, dstPort Port, payloadLen units.ByteSize, pa
 	p.Size = payloadLen + UDPHeader + IPHeader
 	p.PayloadLen = payloadLen
 	p.Payload = payload
-	err := u.stack.node.Send(p)
-	var noRoute *NoRouteError
-	if errors.As(err, &noRoute) {
-		return false, noRoute
-	}
-	if err != nil {
+	if err := u.stack.node.Send(p); err != nil {
+		// Declared only on the error path: errors.As makes noRoute
+		// escape, and a successful send must not allocate.
+		var noRoute *NoRouteError
+		if errors.As(err, &noRoute) {
+			return false, noRoute
+		}
 		return false, nil // egress drop: silent loss, as on the wire
 	}
 	u.txDatagrams++
@@ -150,8 +166,12 @@ func (u *UDPSocket) SendTo(dst Addr, dstPort Port, payloadLen units.ByteSize, pa
 	return true, nil
 }
 
-// Recv blocks until a datagram arrives or the socket is closed.
+// Recv blocks until a datagram arrives or the socket is closed. On a
+// sink socket it fails at once with ErrSink.
 func (u *UDPSocket) Recv(ctx *sim.Ctx) (*Datagram, error) {
+	if u.inbox == nil {
+		return nil, ErrSink
+	}
 	v, ok := u.inbox.Recv(ctx)
 	if !ok {
 		return nil, ErrClosed
@@ -161,6 +181,9 @@ func (u *UDPSocket) Recv(ctx *sim.Ctx) (*Datagram, error) {
 
 // TryRecv returns a queued datagram without blocking.
 func (u *UDPSocket) TryRecv() (*Datagram, bool) {
+	if u.inbox == nil {
+		return nil, false
+	}
 	v, ok := u.inbox.TryRecv()
 	if !ok {
 		return nil, false
@@ -169,7 +192,12 @@ func (u *UDPSocket) TryRecv() (*Datagram, bool) {
 }
 
 // Pending returns the number of queued datagrams.
-func (u *UDPSocket) Pending() int { return u.inbox.Len() }
+func (u *UDPSocket) Pending() int {
+	if u.inbox == nil {
+		return 0
+	}
+	return u.inbox.Len()
+}
 
 // Close releases the port and wakes blocked receivers.
 func (u *UDPSocket) Close() {
@@ -178,11 +206,19 @@ func (u *UDPSocket) Close() {
 	}
 	u.closed = true
 	delete(u.stack.sockets, u.port)
-	u.inbox.Close()
+	if u.inbox != nil {
+		u.inbox.Close()
+	}
 }
 
 // TxStats returns the count and total payload bytes of datagrams
 // accepted by the local node.
 func (u *UDPSocket) TxStats() (datagrams uint64, bytes int64) {
 	return u.txDatagrams, u.txBytes
+}
+
+// RxStats returns the count and total payload bytes of datagrams
+// delivered to the socket.
+func (u *UDPSocket) RxStats() (datagrams uint64, bytes int64) {
+	return u.rxDatagrams, u.rxBytes
 }

@@ -148,3 +148,48 @@ func TestUDPTxStats(t *testing.T) {
 		t.Fatalf("TxStats = %d/%d, want 2/1000", n, bytes)
 	}
 }
+
+func TestUDPSinkCountsWithoutQueueing(t *testing.T) {
+	k, _, a, b := twoNodes(10*units.Mbps, time.Millisecond)
+	sa := NewUDPStack(a)
+	sb := NewUDPStack(b)
+	src, _ := sa.Bind(0)
+	sink, err := sb.BindSink(400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sb.Bind(400); err == nil {
+		t.Fatal("sink port should be in use")
+	}
+	for i := 0; i < 5; i++ {
+		src.SendTo(b.Addr(), 400, units.ByteSize(100*(i+1)), i)
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n, bytes := sink.RxStats(); n != 5 || bytes != 1500 {
+		t.Fatalf("sink RxStats = %d datagrams, %d bytes; want 5, 1500", n, bytes)
+	}
+	if sink.Pending() != 0 || k.LiveProcs() != 0 {
+		t.Fatalf("sink queued %d datagrams, %d live procs; want none", sink.Pending(), k.LiveProcs())
+	}
+	if _, ok := sink.TryRecv(); ok {
+		t.Fatal("TryRecv on a sink returned a datagram")
+	}
+	k.Spawn("recv", func(ctx *sim.Ctx) {
+		if _, err := sink.Recv(ctx); err != ErrSink {
+			t.Errorf("Recv on a sink = %v, want ErrSink", err)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	sink.Close()
+	src.SendTo(b.Addr(), 400, 10, nil)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if sb.RxDrops() != 1 {
+		t.Fatalf("RxDrops after closing the sink = %d, want 1", sb.RxDrops())
+	}
+}

@@ -9,11 +9,13 @@
 // Two execution styles coexist:
 //
 //   - Event callbacks (Kernel.At / Kernel.After) run inline in the
-//     kernel's goroutine. Network elements (links, queues, routers) use
-//     these.
+//     kernel's goroutine. Network elements (links, queues, routers)
+//     and the packet background blaster, which re-arms one prebound
+//     callback per datagram, use these.
 //   - Processes (Kernel.Spawn) are goroutines that may block on
-//     Ctx.Sleep, Cond.Wait, or Mailbox.Recv. Applications (MPI ranks,
-//     traffic generators) use these.
+//     Ctx.Sleep, Cond.Wait, or Mailbox.Recv. Applications with
+//     sequential logic (MPI ranks, the CPU hog, reservation storms)
+//     use these.
 //
 // The event queue is a 4-ary indexed heap over pooled event structs:
 // scheduling on the steady-state hot path performs no allocation (use

@@ -69,8 +69,11 @@ type UDPBlaster struct {
 	sent int64
 }
 
-// Run attaches the blaster to src targeting dst's port. It spawns the
-// generator process and returns immediately.
+// Run attaches the blaster to src targeting dst's port and schedules
+// its first datagram at Start. It returns immediately. The blaster is
+// event-driven: each datagram is one prebound kernel event, and a sink
+// socket bound in dst's UDP stack absorbs the traffic, so no process
+// runs on either end.
 func (b *UDPBlaster) Run(src, dst *netsim.Node, port netsim.Port) error {
 	if b.Rate <= 0 {
 		return fmt.Errorf("trafficgen: blaster needs a positive rate")
@@ -84,30 +87,43 @@ func (b *UDPBlaster) Run(src, dst *netsim.Node, port netsim.Port) error {
 		return err
 	}
 	// Make sure something sinks the datagrams (drops at the stack are
-	// fine too, but a bound sink keeps counters meaningful).
-	dstStack := dst.UDPStack()
-	if sink, err := dstStack.Bind(port); err == nil {
-		k.Spawn(fmt.Sprintf("blaster-sink-%s", dst.Name()), func(ctx *sim.Ctx) {
-			for {
-				if _, err := sink.Recv(ctx); err != nil {
-					return
-				}
-			}
-		})
+	// fine too, but a bound sink keeps counters meaningful). A port
+	// already bound keeps its socket.
+	dst.UDPStack().BindSink(port)
+	st := &blastState{
+		b: b, k: k, sock: sock, dst: dst.Addr(), port: port,
+		gap: b.Rate.TimeToSend(b.PacketSize + netsim.UDPHeader + netsim.IPHeader),
 	}
-	gap := b.Rate.TimeToSend(b.PacketSize + netsim.UDPHeader + netsim.IPHeader)
-	k.SpawnAt(b.Start, fmt.Sprintf("blaster-%s->%s", src.Name(), dst.Name()), func(ctx *sim.Ctx) {
-		for b.Stop == 0 || ctx.Now() < b.Stop {
-			sock.SendTo(dst.Addr(), port, b.PacketSize, nil)
-			b.sent++
-			d := gap
-			if b.Jitter > 0 {
-				d = time.Duration(float64(gap) * ctx.RNG().Jitter(b.Jitter))
-			}
-			ctx.Sleep(d)
-		}
-	})
+	k.AtFunc(b.Start, sim.PrioNormal, blastTick, st, nil)
 	return nil
+}
+
+// blastState is what a running blaster's ticks share.
+type blastState struct {
+	b    *UDPBlaster
+	k    *sim.Kernel
+	sock *netsim.UDPSocket
+	dst  netsim.Addr
+	port netsim.Port
+	gap  time.Duration
+}
+
+// blastTick is one datagram of a blaster: unless past Stop, send, draw
+// the jittered gap, and re-arm one gap later at normal priority. It is
+// prebound so the steady state schedules without allocating.
+func blastTick(a0, _ any) {
+	st := a0.(*blastState)
+	b, k := st.b, st.k
+	if b.Stop != 0 && k.Now() >= b.Stop {
+		return
+	}
+	st.sock.SendTo(st.dst, st.port, b.PacketSize, nil)
+	b.sent++
+	d := st.gap
+	if b.Jitter > 0 {
+		d = time.Duration(float64(st.gap) * k.RNG().Jitter(b.Jitter))
+	}
+	k.AtFunc(k.Now()+max(d, 0), sim.PrioNormal, blastTick, st, nil)
 }
 
 // Sent returns the number of datagrams offered so far.
