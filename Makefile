@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json test-analysis test test-short test-chaos bench bench-json bench-guard smoke-gqd results figures examples clean
+.PHONY: all build vet lint lint-json test-analysis test test-short test-chaos fuzz bench bench-json bench-guard smoke-gqd results figures examples clean
 
 all: build vet lint test
 
@@ -56,6 +56,12 @@ test-chaos:
 		./internal/ctrlplane/... ./internal/faults/... ./internal/gara/... ./internal/core/... \
 		./internal/mpi/... ./internal/experiments/... \
 		-timeout 900s
+
+# Kernel ordering fuzz target against its brute-force reference, for a
+# fixed budget. Plain `go test` replays only the committed seed corpus
+# in internal/sim/testdata/fuzz/FuzzKernelOrder.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzKernelOrder$$' -fuzztime 30s ./internal/sim/
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run xxx -timeout 1800s .

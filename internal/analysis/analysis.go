@@ -18,7 +18,7 @@
 //   - poolownership: every Network.AllocPacket / Stack.allocSeg result
 //     is freed or handed off exactly once on every path.
 //   - hotpathalloc:  no per-event closure allocation on the pooled
-//     AtFunc/AfterFunc/AfterPrioFunc scheduling path.
+//     AtFunc/AfterFunc scheduling path.
 //   - unitsafety:    no dimension-mixing arithmetic or bare numeric
 //     literals where internal/units (or time.Duration) types are
 //     expected.

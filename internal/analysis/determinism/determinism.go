@@ -67,9 +67,9 @@ var wallClockFns = map[string]bool{
 // call order).
 var emissionMethods = map[string]bool{
 	"Schedule": true, "At": true, "AtFunc": true, "After": true,
-	"AfterFunc": true, "AfterPrioFunc": true,
-	"Spawn": true, "Emit": true, "call": true, "transmit": true,
-	"Start": true, "Stop": true, "SetRate": true, "refreshFluid": true,
+	"AfterFunc": true, "Spawn": true, "Emit": true, "call": true,
+	"transmit": true, "Start": true, "Stop": true, "SetRate": true,
+	"refreshFluid": true,
 }
 
 func run(pass *analysis.Pass) error {

@@ -1,16 +1,16 @@
 // Package hotpathalloc defines an analyzer that keeps the pooled
 // event-scheduling path allocation-free.
 //
-// PR 4 added closure-free scheduling variants — Kernel.AtFunc,
-// Kernel.AfterFunc, Kernel.AfterPrioFunc — whose whole point is that
-// the callback is a prebound package-level function of the form
-// func(a0, a1 any) and the two arguments ride inside the pooled event
-// struct. Passing a function literal (or a method value, which the
-// compiler also materialises as a closure) to one of these APIs
-// silently re-introduces one heap allocation per scheduled event and
-// defeats the pool; the bench-guard job only catches the regression
-// if the affected path happens to be benchmarked. This analyzer
-// catches it at every call site.
+// The kernel's closure-free scheduling variants — Kernel.AtFunc and
+// Kernel.AfterFunc — exist so that the callback is a prebound
+// package-level function of the form func(a0, a1 any) and the two
+// arguments ride inside the pooled event struct. Passing a function
+// literal (or a method value, which the compiler also materialises as
+// a closure) to one of these APIs silently re-introduces one heap
+// allocation per scheduled event and defeats the pool; the
+// bench-guard job only catches the regression if the affected path
+// happens to be benchmarked. This analyzer catches it at every call
+// site.
 package hotpathalloc
 
 import (
@@ -23,7 +23,7 @@ import (
 // Analyzer reports closure allocations on pooled scheduling paths.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotpathalloc",
-	Doc: `forbid function literals and method values as the callback of AtFunc/AfterFunc/AfterPrioFunc
+	Doc: `forbid function literals and method values as the callback of AtFunc/AfterFunc
 
 These kernel APIs exist so hot paths can schedule events with zero
 allocations: the callback must be a prebound package-level function
@@ -42,9 +42,8 @@ a0/a1, e.g.:
 // pooledFuncs are the closure-free scheduling entry points; the
 // callback is always their first func-typed parameter.
 var pooledFuncs = map[string]bool{
-	"AtFunc":        true,
-	"AfterFunc":     true,
-	"AfterPrioFunc": true,
+	"AtFunc":    true,
+	"AfterFunc": true,
 }
 
 func run(pass *analysis.Pass) error {

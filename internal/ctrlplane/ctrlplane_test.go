@@ -23,6 +23,7 @@ type rig struct {
 	net          *netsim.Network
 	hostA, hostB *netsim.Node
 	border       *netsim.Link
+	g2           *gara.Gara
 	rm1, rm2     *gara.NetworkRM
 	plane        *Plane
 	co           *Coordinator
@@ -58,7 +59,7 @@ func newRig(seed int64, opts Options) *rig {
 	plane.AddDomain("dom2", g2, rm2)
 	return &rig{
 		k: k, net: n, hostA: hostA, hostB: hostB, border: border,
-		rm1: rm1, rm2: rm2, plane: plane, co: plane.Coordinator(),
+		g2: g2, rm1: rm1, rm2: rm2, plane: plane, co: plane.Coordinator(),
 	}
 }
 

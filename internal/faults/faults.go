@@ -11,8 +11,8 @@
 //		LinkUp(32*time.Second, "edge1-core")
 //	sc.Apply(net)
 //
-// — or fetched from the registry by name (see Build), which
-// is how `cmd/garnet` and the chaos tests share canned scenarios.
+// — or drawn at random from a seeded RNG (see RandomScenario and
+// RankMTBF), which is how the chaos tests and figH build theirs.
 // Faults reference links and nodes by name and resolve them at Apply
 // time, so one scenario can run against any topology that has them.
 package faults

@@ -451,25 +451,6 @@ func (r *Reservation) Cancel() {
 	r.transition(StateCancelled)
 }
 
-// Probe checks whether spec could be admitted right now, without
-// holding any capacity: it books and immediately releases. Resource
-// selection at program startup uses this to compare candidate
-// placements before committing.
-func (g *Gara) Probe(spec Spec) error {
-	rm := g.managers[spec.Type]
-	if rm == nil {
-		return fmt.Errorf("%w %q", ErrNoManager, spec.Type)
-	}
-	g.nextID++
-	r := &Reservation{g: g, id: g.nextID, spec: spec, rm: rm}
-	r.start, r.end = spec.window(g.k.Now())
-	if err := rm.Admit(r); err != nil {
-		return err
-	}
-	rm.Release(r)
-	return nil
-}
-
 // CoReserve atomically requests several reservations: either all are
 // admitted or none are ("co-reservation of CPU, network, and other
 // resources needed for end-to-end performance").

@@ -98,8 +98,9 @@ const (
 	// dropped a request. Subject=rm, V1=request id, V2=shed reason
 	// (see ctrlplane), V3=queue depth at the shed.
 	EvAdmissionShed
-	// EvBrownout: a broker changed its brownout level. Subject=rm,
-	// V1=new level, V2=previous level, V3=queue depth at the change.
+	// EvBrownout: a ctrlplane admission queue changed its brownout
+	// level. Subject=rm, V1=new level, V2=previous level, V3=queue
+	// depth at the change.
 	EvBrownout
 	// EvFluidStart: a fluid background flow became active.
 	// Subject=flow name, V1=offered rate (b/s), V2=chunk bytes.

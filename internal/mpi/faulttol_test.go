@@ -294,6 +294,40 @@ func TestRestartOnFreshHost(t *testing.T) {
 	}
 }
 
+// TestCrashedPeerConnectionClosed: a survivor closes its end of a
+// crashed peer's connection, so once the worker has restarted and the
+// job finalizes, no connection is left half-open (CLOSE_WAIT) on any
+// surviving rank.
+func TestCrashedPeerConnectionClosed(t *testing.T) {
+	k, net, _, j := testJobNet(3, JobOptions{})
+	j.Start(func(ctx *sim.Ctx, r *Rank) {
+		if r.ID() == 2 && r.Epoch() == 0 {
+			ctx.Sleep(time.Hour) // first incarnation idles until crashed
+			return
+		}
+		// Survivors wait out the crash and the restart's re-wiring.
+		ctx.Sleep(3*time.Second - ctx.Now())
+		if err := r.Finalize(ctx); err != nil {
+			t.Errorf("rank %d finalize: %v", r.ID(), err)
+		}
+	})
+	faults.NewScenario("crash-restart").
+		RankCrash(time.Second, "rank-2").
+		RankRestart(1500*time.Millisecond, "rank-2").
+		MustApplyTargets(net, faults.Targets{Ranks: j})
+	if err := k.RunUntil(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if !j.Done() {
+		t.Fatal("job incomplete")
+	}
+	for i := 0; i < 2; i++ {
+		if n := j.Rank(i).Host().TCP.ConnCount(); n != 0 {
+			t.Errorf("surviving rank %d leaked %d connections", i, n)
+		}
+	}
+}
+
 // TestRankFailureChaosSoak drives a 4-rank ring workload through a
 // seeded exponential crash/restart schedule and checks the
 // fault-tolerance contract end to end: no surviving rank ever hangs on

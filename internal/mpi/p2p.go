@@ -92,19 +92,16 @@ type postedRecv struct {
 // with error, per the MPICH fault-tolerance model. conn identifies
 // the connection whose reader observed the shutdown: if a newer
 // connection to the peer has already replaced it (the peer
-// restarted), the teardown is stale and skipped. A finished peer's
-// connection is closed here, because Finalize skips peers already
-// dropped and nothing else would close this end. A crashed peer's is
-// left half-open, as the crash schedules (figure H) have always run.
+// restarted), the teardown is stale and skipped. The connection is
+// closed here, whether the peer finished or crashed, because Finalize
+// skips peers already dropped and nothing else would close this end.
 func (r *Rank) peerDown(peer int, conn *globusio.IO) {
 	crashed := r.job.failed[peer]
 	if cur := r.conns[peer]; cur != nil && cur != conn {
 		return // superseded by the peer's new incarnation
 	} else if cur != nil {
 		delete(r.conns, peer)
-		if !crashed {
-			cur.Close()
-		}
+		cur.Close()
 	}
 	if r.deadPeers == nil {
 		r.deadPeers = make(map[int]bool)

@@ -182,7 +182,7 @@ func TestFluidRateChangeEventsOnly(t *testing.T) {
 	// fluid network runs out of events immediately.
 	k, n, a, _, c := threeNodes(10*units.Mbps, 10*units.Mbps)
 	f := n.NewFluidFlow("bg", a, c, 9000, 4*units.Mbps, 1000)
-	k.AfterPrioFunc(0, sim.PrioNet, func(a0, _ any) { a0.(*FluidFlow).Start() }, f, nil)
+	k.AtFunc(k.Now(), sim.PrioNet, func(a0, _ any) { a0.(*FluidFlow).Start() }, f, nil)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -161,7 +161,7 @@ func (i *Iface) tryTransmit() {
 		if !fl.granted && i.queue.Len() > 0 {
 			if w, efHead := fl.headWait(chained); w > 0 {
 				fl.waiting, fl.waitEF = true, efHead
-				fl.waitTimer = k.AfterPrioFunc(w, sim.PrioNet, ifaceFluidWaitDone, i, nil)
+				fl.waitTimer = k.AtFunc(k.Now()+w, sim.PrioNet, ifaceFluidWaitDone, i, nil)
 				return
 			}
 		}
@@ -174,11 +174,11 @@ func (i *Iface) tryTransmit() {
 	i.transmitting = true
 	txTime := i.link.rate.TimeToSend(p.Size)
 	i.busy += txTime
-	k.AfterPrioFunc(txTime, sim.PrioNet, ifaceTxDone, i, p)
+	k.AtFunc(k.Now()+txTime, sim.PrioNet, ifaceTxDone, i, p)
 }
 
 // ifaceTxDone finishes serializing p on interface a0 and starts the
-// propagation event. It is a prebound AfterPrioFunc callback so the
+// propagation event. It is a prebound AtFunc callback so the
 // per-packet forwarding path schedules without closure allocations.
 func ifaceTxDone(a0, a1 any) {
 	i := a0.(*Iface)
@@ -200,7 +200,8 @@ func ifaceTxDone(a0, a1 any) {
 	i.txBytes += int64(p.Size)
 	i.mTxPackets.Inc()
 	i.mTxBytes.Add(int64(p.Size))
-	i.node.net.k.AfterPrioFunc(i.link.delay, sim.PrioNet, ifaceArrive, i.peer(), p)
+	k := i.node.net.k
+	k.AtFunc(k.Now()+i.link.delay, sim.PrioNet, ifaceArrive, i.peer(), p)
 	i.tryTransmit()
 }
 

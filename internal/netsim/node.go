@@ -99,7 +99,7 @@ func (nd *Node) Send(p *Packet) error {
 func (nd *Node) forward(p *Packet) error {
 	if p.Dst == nd.addr {
 		// Loopback: deliver locally without touching any link.
-		nd.net.k.AfterPrioFunc(0, sim.PrioNet, nodeDeliverLocal, nd, p)
+		nd.net.k.AtFunc(nd.net.k.Now(), sim.PrioNet, nodeDeliverLocal, nd, p)
 		return nil
 	}
 	out := nd.routes[p.Dst]

@@ -1,8 +1,9 @@
-// Package nws provides Network Weather Service-style monitoring and
-// forecasting (Wolski, HPDC'97 — the paper's reference [35]). §5.4
-// suggests computing "the 'correct' token bucket size dynamically, by
-// using application-specific information and perhaps also dynamic
-// network performance data [35]"; this package supplies that data.
+// Package nws provides Network Weather Service-style forecasting
+// (Wolski, HPDC'97 — the paper's reference [35]). §5.4 suggests
+// computing "the 'correct' token bucket size dynamically, by using
+// application-specific information and perhaps also dynamic network
+// performance data [35]"; gq.Watchdog feeds a Forecaster the goodput
+// it measures and acts on the forecast.
 //
 // Following NWS's design, a Forecaster runs a battery of simple
 // predictors (last value, sliding means, sliding medians) over a
@@ -10,32 +11,21 @@
 // whichever predictor has the lowest cumulative error so far.
 package nws
 
-import (
-	"fmt"
-	"sort"
-	"time"
-
-	"mpichgq/internal/sim"
-	"mpichgq/internal/tcpsim"
-	"mpichgq/internal/units"
-)
+import "sort"
 
 // predictor is one forecasting strategy over the sample history.
 type predictor interface {
-	name() string
 	predict(history []float64) float64
 }
 
 type lastValue struct{}
 
-func (lastValue) name() string { return "last" }
 func (lastValue) predict(h []float64) float64 {
 	return h[len(h)-1]
 }
 
 type slidingMean struct{ w int }
 
-func (p slidingMean) name() string { return fmt.Sprintf("mean%d", p.w) }
 func (p slidingMean) predict(h []float64) float64 {
 	start := len(h) - p.w
 	if start < 0 {
@@ -50,7 +40,6 @@ func (p slidingMean) predict(h []float64) float64 {
 
 type slidingMedian struct{ w int }
 
-func (p slidingMedian) name() string { return fmt.Sprintf("median%d", p.w) }
 func (p slidingMedian) predict(h []float64) float64 {
 	start := len(h) - p.w
 	if start < 0 {
@@ -124,7 +113,6 @@ func (f *Forecaster) best() int {
 		if e < f.errs[bi] {
 			bi = i
 		}
-		_ = i
 	}
 	return bi
 }
@@ -136,86 +124,4 @@ func (f *Forecaster) Forecast() float64 {
 		return 0
 	}
 	return f.pending[f.best()]
-}
-
-// Best names the currently winning predictor.
-func (f *Forecaster) Best() string {
-	return f.predictors[f.best()].name()
-}
-
-// Monitor passively samples a TCP connection's achieved throughput
-// (acked bytes per interval), smoothed RTT, and loss (retransmits per
-// interval), feeding per-metric forecasters.
-type Monitor struct {
-	k        *sim.Kernel
-	conn     *tcpsim.Conn
-	interval time.Duration
-
-	Throughput *Forecaster // Kb/s
-	RTT        *Forecaster // seconds
-	Loss       *Forecaster // retransmitted segments per interval
-
-	lastAcked int64
-	lastRetx  uint64
-	timer     sim.Timer
-	stopped   bool
-}
-
-// Attach starts periodic sampling of conn every interval.
-func Attach(k *sim.Kernel, conn *tcpsim.Conn, interval time.Duration) *Monitor {
-	if interval <= 0 {
-		panic("nws: non-positive sampling interval")
-	}
-	m := &Monitor{
-		k: k, conn: conn, interval: interval,
-		Throughput: NewForecaster(),
-		RTT:        NewForecaster(),
-		Loss:       NewForecaster(),
-	}
-	st := conn.Stats()
-	m.lastAcked = st.BytesAcked
-	m.lastRetx = st.Retransmits
-	m.schedule()
-	return m
-}
-
-func (m *Monitor) schedule() {
-	m.timer = m.k.After(m.interval, func() {
-		if m.stopped {
-			return
-		}
-		m.sample()
-		m.schedule()
-	})
-}
-
-func (m *Monitor) sample() {
-	st := m.conn.Stats()
-	acked := st.BytesAcked - m.lastAcked
-	m.lastAcked = st.BytesAcked
-	m.Throughput.Add(units.RateOf(units.ByteSize(acked), m.interval).Kbps())
-	if st.SRTT > 0 {
-		m.RTT.Add(st.SRTT.Seconds())
-	}
-	m.Loss.Add(float64(st.Retransmits - m.lastRetx))
-	m.lastRetx = st.Retransmits
-}
-
-// ThroughputForecast returns the predicted achievable rate.
-func (m *Monitor) ThroughputForecast() units.BitRate {
-	return units.BitRate(m.Throughput.Forecast()) * units.Kbps
-}
-
-// RTTForecast returns the predicted round-trip time.
-func (m *Monitor) RTTForecast() time.Duration {
-	return time.Duration(m.RTT.Forecast() * float64(time.Second))
-}
-
-// LossForecast returns the predicted retransmissions per interval.
-func (m *Monitor) LossForecast() float64 { return m.Loss.Forecast() }
-
-// Stop ends sampling.
-func (m *Monitor) Stop() {
-	m.stopped = true
-	m.timer.Cancel()
 }

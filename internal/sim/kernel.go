@@ -303,12 +303,6 @@ func (k *Kernel) AfterFunc(d time.Duration, fn func(a0, a1 any), a0, a1 any) Tim
 	return k.schedule(k.now+d, PrioNormal, fn, a0, a1)
 }
 
-// AfterPrioFunc schedules fn to run d from now at the given priority;
-// see AtFunc.
-func (k *Kernel) AfterPrioFunc(d time.Duration, prio int, fn func(a0, a1 any), a0, a1 any) Timer {
-	return k.schedule(k.now+d, prio, fn, a0, a1)
-}
-
 // Stop makes Run return after the current event completes. Pending
 // events remain queued; Run may be called again to continue.
 func (k *Kernel) Stop() { k.stopped = true }
