@@ -57,11 +57,14 @@ test-chaos:
 		./internal/mpi/... ./internal/experiments/... \
 		-timeout 900s
 
-# Kernel ordering fuzz target against its brute-force reference, for a
-# fixed budget. Plain `go test` replays only the committed seed corpus
-# in internal/sim/testdata/fuzz/FuzzKernelOrder.
+# Fuzz targets against their references, for a fixed budget each:
+# kernel event ordering against a brute-force queue, and the AIMD
+# limiter's gated grants against the plain re-check loop. Plain
+# `go test` replays only the committed seed corpora under
+# testdata/fuzz/ in each package.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelOrder$$' -fuzztime 30s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzLimiterGrants$$' -fuzztime 30s ./internal/ctrlplane/
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run xxx -timeout 1800s .

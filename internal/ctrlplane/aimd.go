@@ -18,6 +18,8 @@ import (
 type Limiter struct {
 	k    *sim.Kernel
 	cond *sim.Cond
+	// gate is TryAcquire bound once, so Acquire allocates nothing.
+	gate sim.Gate
 
 	// MinWindow..MaxWindow bound the AIMD window.
 	MinWindow, MaxWindow float64
@@ -37,12 +39,14 @@ func NewLimiter(k *sim.Kernel, name string, min, max float64) *Limiter {
 	if max < min {
 		max = min
 	}
-	return &Limiter{
+	l := &Limiter{
 		k: k, cond: sim.NewCond(k),
 		MinWindow: min, MaxWindow: max, window: min,
 		gWindow: k.Metrics().Gauge("ctrl_aimd_window",
 			"client AIMD concurrency window", "client", name),
 	}
+	l.gate = l.TryAcquire
+	return l
 }
 
 // Window returns the current window size.
@@ -52,19 +56,25 @@ func (l *Limiter) Window() float64 { return l.window }
 func (l *Limiter) Inflight() int { return l.inflight }
 
 // Acquire blocks until an in-flight slot is available and any
-// retry-after hold has passed, then takes the slot.
-func (l *Limiter) Acquire(ctx *sim.Ctx) {
-	for {
-		if hold := l.holdUntil - l.k.Now(); hold > 0 {
-			ctx.Sleep(hold)
-			continue
-		}
-		if l.inflight < int(l.window) {
-			l.inflight++
-			return
-		}
-		l.cond.Wait(ctx)
+// retry-after hold has passed, then takes the slot. The re-checks run
+// in kernel context (see TryAcquire), so a waiter that a Release wakes
+// but does not admit stays parked without being resumed.
+func (l *Limiter) Acquire(ctx *sim.Ctx) { ctx.Await(l.gate) }
+
+// TryAcquire is Acquire's gate (see sim.Gate): during a retry-after
+// hold it asks to be checked again when the hold ends; with a free
+// slot it takes the slot and admits; otherwise it waits for the next
+// Release or Cancel. Spawning a process with TryAcquire as its gate
+// (sim.Kernel.SpawnWhen) starts it holding a slot.
+func (l *Limiter) TryAcquire() (wait *sim.Cond, retry time.Duration) {
+	if hold := l.holdUntil - l.k.Now(); hold > 0 {
+		return nil, hold
 	}
+	if l.inflight < int(l.window) {
+		l.inflight++
+		return nil, 0
+	}
+	return l.cond, 0
 }
 
 // Cancel returns a slot without an AIMD signal: the caller abandoned
@@ -97,5 +107,8 @@ func (l *Limiter) Release(ok bool, overloaded bool, retryAfter time.Duration) {
 		}
 	}
 	l.gWindow.Set(l.window)
+	// Broadcast, not Signal: every waiter re-checks in FIFO order, and
+	// a grown window or a hold can admit several or none. Which waiter
+	// gets which slot follows from this order.
 	l.cond.Broadcast()
 }

@@ -10,13 +10,22 @@ import "time"
 //
 // As with sync.Cond, a woken process should re-check its predicate:
 // state may change between the Signal and the wakeup event running.
+// Ctx.Await moves that re-check into the kernel: a gated waiter's
+// wakeup event runs its gate and resumes the process only on success.
 type Cond struct {
-	k       *Kernel
-	waiters []*condWaiter
+	k *Kernel
+	// waiters[head:] is the FIFO queue. Signal advances head instead
+	// of re-slicing, and the backing array is reused once the queue
+	// drains, so wait/wake cycles do not reallocate it.
+	waiters []*Proc
+	head    int
 }
 
+// condWaiter is the wait state a Proc embeds: the gate a gated wait
+// re-checks (nil for a plain Wait), and whether Signal or the timeout
+// ended the current WaitTimeout.
 type condWaiter struct {
-	p        *Proc
+	gate     Gate
 	woken    bool
 	timedOut bool
 }
@@ -27,8 +36,7 @@ func NewCond(k *Kernel) *Cond { return &Cond{k: k} }
 // Wait blocks the calling process until Signal or Broadcast wakes it.
 func (c *Cond) Wait(ctx *Ctx) {
 	ctx.checkCtx()
-	w := &condWaiter{p: ctx.p}
-	c.waiters = append(c.waiters, w)
+	c.enqueue(ctx.p)
 	ctx.p.park()
 }
 
@@ -40,36 +48,45 @@ func (c *Cond) WaitTimeout(ctx *Ctx, d time.Duration) bool {
 	if d <= 0 {
 		return false
 	}
-	w := &condWaiter{p: ctx.p}
-	c.waiters = append(c.waiters, w)
-	timer := c.k.After(d, func() {
-		if w.woken {
-			return
-		}
-		w.woken = true
-		w.timedOut = true
-		c.remove(w)
-		c.k.step(w.p)
-	})
-	ctx.p.park()
+	p := ctx.p
+	p.woken, p.timedOut = false, false
+	c.enqueue(p)
+	timer := c.k.AtFunc(c.k.now+d, PrioNormal, condTimeout, c, p)
+	p.park()
 	timer.Cancel()
-	return !w.timedOut
+	return !p.timedOut
+}
+
+// condTimeout is WaitTimeout's prebound timeout callback.
+func condTimeout(a0, a1 any) {
+	c, p := a0.(*Cond), a1.(*Proc)
+	if p.woken {
+		return
+	}
+	p.woken, p.timedOut = true, true
+	c.remove(p)
+	stepProc(c.k, p)
 }
 
 // Signal wakes the longest-waiting process, if any. It reports whether
-// a waiter was woken.
+// a waiter was woken. A gated waiter's wakeup event runs its gate.
 func (c *Cond) Signal() bool {
-	for len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		if w.woken {
-			continue
-		}
-		w.woken = true
-		c.k.AtFunc(c.k.now, PrioNormal, stepProc, c.k, w.p)
-		return true
+	if c.head == len(c.waiters) {
+		return false
 	}
-	return false
+	p := c.waiters[c.head]
+	c.waiters[c.head] = nil
+	c.head++
+	if c.head == len(c.waiters) {
+		c.waiters, c.head = c.waiters[:0], 0
+	}
+	p.woken = true
+	wake := stepProc
+	if p.gate != nil {
+		wake = gateProc
+	}
+	c.k.AtFunc(c.k.now, PrioNormal, wake, c.k, p)
+	return true
 }
 
 // Broadcast wakes all waiting processes.
@@ -79,22 +96,32 @@ func (c *Cond) Broadcast() {
 }
 
 // Waiting returns the number of processes currently blocked on c.
-func (c *Cond) Waiting() int {
-	n := 0
-	for _, w := range c.waiters {
-		if !w.woken {
-			n++
-		}
+func (c *Cond) Waiting() int { return len(c.waiters) - c.head }
+
+// enqueue appends p to the wait queue. When the backing array is full
+// and at least half of it is the consumed prefix, the live queue is
+// moved to the front instead of growing the array.
+func (c *Cond) enqueue(p *Proc) {
+	if n := len(c.waiters); n == cap(c.waiters) && c.head > 0 && 2*c.head >= n {
+		m := copy(c.waiters, c.waiters[c.head:])
+		clear(c.waiters[m:])
+		c.waiters, c.head = c.waiters[:m], 0
 	}
-	return n
+	c.waiters = append(c.waiters, p)
 }
 
-func (c *Cond) remove(w *condWaiter) {
-	for i, x := range c.waiters {
-		if x == w {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			return
+func (c *Cond) remove(p *Proc) {
+	for i := c.head; i < len(c.waiters); i++ {
+		if c.waiters[i] == p {
+			n := len(c.waiters) - 1
+			copy(c.waiters[i:], c.waiters[i+1:])
+			c.waiters[n] = nil
+			c.waiters = c.waiters[:n]
+			break
 		}
+	}
+	if c.head == len(c.waiters) {
+		c.waiters, c.head = c.waiters[:0], 0
 	}
 }
 

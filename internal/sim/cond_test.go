@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -92,6 +93,193 @@ func TestCondWaitTimeoutZero(t *testing.T) {
 	}
 	if ok {
 		t.Fatal("zero timeout should report false immediately")
+	}
+}
+
+// TestCondWaitZeroAlloc pins that, once warm, waiting costs no
+// allocation: the wait state lives in the Proc, the wait queue reuses
+// its backing array, and WaitTimeout's timeout is a prebound callback.
+func TestCondWaitZeroAlloc(t *testing.T) {
+	zero := func(name string, k *Kernel, cycle func()) {
+		t.Helper()
+		for i := 0; i < 8; i++ {
+			cycle()
+		}
+		if err := k.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+			t.Errorf("%s allocates %.1f objects per cycle, want 0", name, allocs)
+		}
+	}
+	runNow := func(k *Kernel) {
+		if err := k.RunFor(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	k := New(1)
+	c := NewCond(k)
+	k.Spawn("wait", func(ctx *Ctx) {
+		for {
+			c.Wait(ctx)
+		}
+	})
+	runNow(k)
+	zero("Wait+Signal", k, func() {
+		c.Signal()
+		runNow(k)
+	})
+
+	k = New(1)
+	c = NewCond(k)
+	k.Spawn("woken", func(ctx *Ctx) {
+		for {
+			c.WaitTimeout(ctx, time.Hour)
+		}
+	})
+	runNow(k)
+	zero("WaitTimeout woken", k, func() {
+		c.Signal()
+		runNow(k)
+	})
+
+	k = New(1)
+	c = NewCond(k)
+	k.Spawn("timed-out", func(ctx *Ctx) {
+		for {
+			c.WaitTimeout(ctx, time.Millisecond)
+		}
+	})
+	runNow(k)
+	zero("WaitTimeout timed out", k, func() {
+		if err := k.RunFor(time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	// Each Await fails twice — a retry, then a wait on c — before the
+	// Signal-triggered check admits it.
+	k = New(1)
+	c = NewCond(k)
+	checks := 0
+	gate := func() (*Cond, time.Duration) {
+		checks++
+		switch checks % 3 {
+		case 1:
+			return nil, time.Millisecond
+		case 2:
+			return c, 0
+		}
+		return nil, 0
+	}
+	k.Spawn("await", func(ctx *Ctx) {
+		for {
+			ctx.Await(gate)
+		}
+	})
+	runNow(k)
+	zero("Await", k, func() {
+		if err := k.RunFor(time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		c.Signal()
+		runNow(k)
+	})
+}
+
+// TestCondQueueKeepsFIFOAcrossCompaction drives a queue that never
+// drains, so enqueue must compact the consumed prefix rather than grow
+// the array without bound, and checks that waiters still wake in
+// arrival order.
+func TestCondQueueKeepsFIFOAcrossCompaction(t *testing.T) {
+	k := New(1)
+	c := NewCond(k)
+	var woken []int
+	spawn := func(i int) {
+		k.Spawn(fmt.Sprint(i), func(ctx *Ctx) {
+			c.Wait(ctx)
+			woken = append(woken, i)
+		})
+	}
+	next := 0
+	for ; next < 4; next++ {
+		spawn(next)
+	}
+	for round := 0; round < 50; round++ {
+		if err := k.RunFor(0); err != nil {
+			t.Fatal(err)
+		}
+		c.Signal()
+		spawn(next)
+		next++
+	}
+	if err := k.RunFor(0); err != nil {
+		t.Fatal(err)
+	}
+	if n := cap(c.waiters); n > 16 {
+		t.Fatalf("queue of 4 waiters holds an array of %d", n)
+	}
+	c.Broadcast()
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(woken) != next {
+		t.Fatalf("woke %d of %d waiters", len(woken), next)
+	}
+	for i, w := range woken {
+		if w != i {
+			t.Fatalf("wake order %v, want 0..%d in order", woken, next-1)
+		}
+	}
+}
+
+// TestAwaitChecksInKernel pins that an Await whose gate fails N times
+// resumes its process exactly once: the first check runs in the
+// process, every later one in kernel context, and Await returns at the
+// admitting check.
+func TestAwaitChecksInKernel(t *testing.T) {
+	const fails = 5
+	k := New(1)
+	c := NewCond(k)
+	var p *Proc
+	var inProc, inKernel, returns int
+	var at time.Duration
+	gate := func() (*Cond, time.Duration) {
+		switch k.cur {
+		case p:
+			inProc++
+		case nil:
+			inKernel++
+		default:
+			t.Errorf("gate ran in process %q", k.cur.name)
+		}
+		switch n := inProc + inKernel; {
+		case n > fails:
+			return nil, 0
+		case n%2 == 0:
+			return c, 0
+		}
+		return nil, time.Second
+	}
+	p = k.Spawn("await", func(ctx *Ctx) {
+		ctx.Await(gate)
+		returns++
+		at = ctx.Now()
+	})
+	for i := 1; i <= fails; i++ {
+		k.At(time.Duration(i)*10*time.Second, PrioNormal, func() { c.Broadcast() })
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if inProc != 1 || inKernel != fails || returns != 1 {
+		t.Fatalf("checks in process %d, in kernel %d, returns %d; want 1, %d, 1", inProc, inKernel, returns, fails)
+	}
+	// Checks: 0s fail (retry 1s), 1s fail (wait), 10s fail (retry),
+	// 11s fail (wait), 20s fail (retry), 21s admit.
+	if at != 21*time.Second {
+		t.Fatalf("admitted at %v, want 21s", at)
 	}
 }
 

@@ -15,7 +15,19 @@
 //   - Processes (Kernel.Spawn) are goroutines that may block on
 //     Ctx.Sleep, Cond.Wait, or Mailbox.Recv. Applications with
 //     sequential logic (MPI ranks, the CPU hog, reservation storms)
-//     use these.
+//     use these. A process gets its goroutine on its first step, not
+//     at spawn, so a process whose start event never runs costs none.
+//
+// A process that would loop "check a predicate, wait, check again"
+// can hand the loop to the kernel instead: Ctx.Await takes a Gate, a
+// predicate that runs in kernel context and answers "proceed", "wait
+// for this Cond" or "check again after d". A failed check then costs
+// one event and no goroutine switch. Kernel.SpawnWhen starts a process
+// behind a gate, and the process has no goroutine until the gate
+// admits it. Gates run on the kernel's goroutine, so they must not
+// block; their checks run at exactly the instants, priorities and
+// scheduling order of the Sleep and Cond wakeups they replace, so a
+// gated loop leaves the event schedule unchanged.
 //
 // The event queue is a 4-ary indexed heap over pooled event structs:
 // scheduling on the steady-state hot path performs no allocation (use
@@ -364,8 +376,9 @@ func (k *Kernel) run(deadline time.Duration) error {
 func (k *Kernel) PendingEvents() int { return len(k.queue) }
 
 // BlockedProcs returns the names of processes that are blocked (waiting
-// on a Cond, Mailbox, or sleep) and not yet finished. Useful in tests
-// for detecting unintended deadlock.
+// on a Cond, Mailbox, sleep or gate, including gated spawns not yet
+// admitted) and not yet finished. Useful in tests for detecting
+// unintended deadlock.
 func (k *Kernel) BlockedProcs() []string {
 	var names []string
 	for _, p := range k.procs {

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -247,6 +249,114 @@ func TestFinishedProcsLeaveKernel(t *testing.T) {
 	}
 	if len(k.procs) != 0 || k.LiveProcs() != 0 {
 		t.Fatalf("after run: %d procs held, LiveProcs = %d, want 0", len(k.procs), k.LiveProcs())
+	}
+}
+
+// TestSpawnWhenGatesWithoutGoroutine pins that a gated spawn has no
+// goroutine until its gate admits, that every gate check runs in
+// kernel context, and that the body runs once, from the admitting
+// check's instant.
+func TestSpawnWhenGatesWithoutGoroutine(t *testing.T) {
+	const fails = 4
+	k := New(1)
+	c := NewCond(k)
+	var p *Proc
+	checks, runs := 0, 0
+	var at time.Duration
+	gate := func() (*Cond, time.Duration) {
+		if k.cur != nil || p.sw != nil {
+			t.Errorf("check %d: running process %v, goroutine started %v", checks, k.cur != nil, p.sw != nil)
+		}
+		checks++
+		switch {
+		case checks > fails:
+			return nil, 0
+		case checks%2 == 0:
+			return c, 0
+		}
+		return nil, time.Second
+	}
+	p = k.SpawnWhen("gated", gate, func(ctx *Ctx) {
+		runs++
+		at = ctx.Now()
+	})
+	for i := 1; i <= fails; i++ {
+		k.At(time.Duration(i)*10*time.Second, PrioNormal, func() { c.Signal() })
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Checks: 0s retry, 1s wait, 10s retry, 11s wait, 20s admit.
+	if checks != fails+1 || runs != 1 || at != 20*time.Second || !p.Done() {
+		t.Fatalf("checks %d, runs %d at %v, done %v; want %d, 1 at 20s, true", checks, runs, at, p.Done(), fails+1)
+	}
+}
+
+// TestSpawnWhenBlockedCostsNoGoroutine spawns 1,000 processes behind a
+// closed gate: each is live and listed as blocked, and none has a
+// goroutine.
+func TestSpawnWhenBlockedCostsNoGoroutine(t *testing.T) {
+	const n = 1000
+	k := New(1)
+	c := NewCond(k)
+	closed := func() (*Cond, time.Duration) { return c, 0 }
+	before := runtime.NumGoroutine()
+	for i := 0; i < n; i++ {
+		k.SpawnWhen(fmt.Sprintf("g%d", i), closed, func(*Ctx) {})
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if live, blocked := k.LiveProcs(), len(k.BlockedProcs()); live != n || blocked != n {
+		t.Fatalf("live %d, blocked %d; want %d each", live, blocked, n)
+	}
+	if c.Waiting() != n {
+		t.Fatalf("waiting on gate cond = %d, want %d", c.Waiting(), n)
+	}
+	if d := runtime.NumGoroutine() - before; d > 0 {
+		t.Fatalf("%d gated processes started %d goroutines, want 0", n, d)
+	}
+}
+
+// TestUnstartedProcHasNoGoroutine pins that a process whose start
+// event never runs leaves no goroutine behind.
+func TestUnstartedProcHasNoGoroutine(t *testing.T) {
+	k := New(1)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		k.SpawnAt(time.Hour, "never", func(*Ctx) { t.Error("process ran") })
+	}
+	if err := k.RunUntil(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if k.LiveProcs() != 100 {
+		t.Fatalf("live = %d, want 100", k.LiveProcs())
+	}
+	if d := runtime.NumGoroutine() - before; d > 0 {
+		t.Fatalf("unstarted processes hold %d goroutines, want 0", d)
+	}
+}
+
+func TestSpawnWhenPanicCaptured(t *testing.T) {
+	k := New(1)
+	c := NewCond(k)
+	open := false
+	gate := func() (*Cond, time.Duration) {
+		if !open {
+			return c, 0
+		}
+		return nil, 0
+	}
+	k.SpawnWhen("bad", gate, func(ctx *Ctx) { panic("boom") })
+	k.After(time.Second, func() {
+		open = true
+		c.Broadcast()
+	})
+	if err := k.Run(); err == nil || !strings.Contains(err.Error(), `"bad" panicked: boom`) {
+		t.Fatalf("Run error = %v, want the gated process's panic", err)
+	}
+	if k.Err() == nil {
+		t.Fatal("Kernel.Err lost the panic")
 	}
 }
 

@@ -119,10 +119,10 @@ func (s *ReservationStorm) Run(k *sim.Kernel) {
 				if ctx.Now() >= s.Stop {
 					return
 				}
-				ci := i % len(s.Conns)
-				ctx.SpawnChild(fmt.Sprintf("storm-arrival-%d", i), func(cctx *sim.Ctx) {
-					s.oneRequest(cctx, ci)
-				})
+				// An arrival waiting for an AIMD slot is a gated
+				// spawn: it gets a goroutine only once it holds one.
+				r := &request{s: s, ci: i % len(s.Conns)}
+				ctx.Kernel().SpawnWhen(fmt.Sprintf("storm-arrival-%d", i), r.gate, r.run)
 			}
 		})
 	}
@@ -130,36 +130,68 @@ func (s *ReservationStorm) Run(k *sim.Kernel) {
 		ci := c % len(s.Conns)
 		k.Spawn(fmt.Sprintf("storm-client-%d", c), func(ctx *sim.Ctx) {
 			for ctx.Now() < s.Stop {
-				s.oneRequest(ctx, ci)
+				r := request{s: s, ci: ci}
+				r.begin()
+				if r.lim != nil {
+					r.lim.Acquire(ctx)
+				}
+				r.run(ctx)
 				ctx.Sleep(s.Think)
 			}
 		})
 	}
 }
 
-// oneRequest submits one logical reservation request through conn ci,
-// with up to Retries client-level re-submissions on retryable
-// failures.
-func (s *ReservationStorm) oneRequest(ctx *sim.Ctx, ci int) {
-	conn := s.Conns[ci]
-	spec := s.Spec(s.n)
-	var lim *ctrlplane.Limiter
+// request is one logical reservation request through conn ci.
+type request struct {
+	s     *ReservationStorm
+	ci    int
+	spec  gara.Spec
+	lim   *ctrlplane.Limiter // nil for naive clients
+	begun bool
+}
+
+// begin draws the request's spec, picks its limiter and counts it as
+// offered.
+func (r *request) begin() {
+	s := r.s
+	r.spec = s.Spec(s.n)
 	if s.limiters != nil {
-		lim = s.limiters[ci][spec.Class]
+		r.lim = s.limiters[r.ci][r.spec.Class]
 	}
 	s.n++
 	s.stats.Offered++
-	s.stats.OfferedByClass[spec.Class]++
+	s.stats.OfferedByClass[r.spec.Class]++
+	r.begun = true
+}
+
+// gate is an open-loop arrival's spawn gate (see sim.Gate): its first
+// check begins the request, and every check then tries the limiter.
+func (r *request) gate() (*sim.Cond, time.Duration) {
+	if !r.begun {
+		r.begin()
+	}
+	if r.lim == nil {
+		return nil, 0
+	}
+	return r.lim.TryAcquire()
+}
+
+// run submits the begun request, whose first limiter slot is already
+// held, with up to Retries client-level re-submissions on retryable
+// failures.
+func (r *request) run(ctx *sim.Ctx) {
+	s, conn, spec, lim := r.s, r.s.Conns[r.ci], r.spec, r.lim
+	// The window can hold a backlog of waiters far past Stop; a
+	// request that never got to send its first attempt is abandoned
+	// rather than issued into the drain tail.
+	if lim != nil && ctx.Now() >= s.Stop {
+		lim.Cancel()
+		return
+	}
 	for attempt := 0; ; attempt++ {
-		if lim != nil {
+		if lim != nil && attempt > 0 {
 			lim.Acquire(ctx)
-			// The window can hold a backlog of waiters far past Stop;
-			// a request that never got to send its first attempt is
-			// abandoned rather than issued into the drain tail.
-			if attempt == 0 && ctx.Now() >= s.Stop {
-				lim.Cancel()
-				return
-			}
 		}
 		start := ctx.Now()
 		_, err := conn.Reserve(ctx, spec)

@@ -1,7 +1,10 @@
 package trafficgen
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -191,5 +194,47 @@ func TestStormNaiveVsAdaptiveClients(t *testing.T) {
 	}
 	if adaptive.OK < naive.OK {
 		t.Errorf("adaptive clients admitted less than naive ones: %d vs %d", adaptive.OK, naive.OK)
+	}
+}
+
+// TestStormGatedArrivalsHoldNoGoroutine runs a 10x adaptive storm to
+// Stop: thousands of open-loop arrivals are then queued behind their
+// AIMD windows. They are live, blocked storm processes, but a gated
+// arrival gets its goroutine only once it holds a slot, so goroutine
+// growth stays within the slots the windows can hold plus the
+// closed-loop clients and the broker side. The client-side stats are
+// pinned: gating the arrivals must not move a single grant.
+func TestStormGatedArrivalsHoldNoGoroutine(t *testing.T) {
+	const stop = 4 * time.Second
+	before := runtime.NumGoroutine()
+	r := newStormRig(3, 1000, true, stop)
+	r.storm.Run(r.k)
+	if err := r.k.RunUntil(stop); err != nil {
+		t.Fatal(err)
+	}
+	blocked := 0
+	for _, name := range r.k.BlockedProcs() {
+		if strings.HasPrefix(name, "storm-") {
+			blocked++
+		}
+	}
+	if blocked <= 1000 {
+		t.Fatalf("%d storm processes blocked at Stop, want a backlog of more than 1000", blocked)
+	}
+	windowCap := len(r.storm.Conns) * 3 * int(r.storm.WindowMax)
+	if grown := runtime.NumGoroutine() - before; grown >= 100+windowCap {
+		t.Fatalf("%d blocked storm processes grew goroutines by %d, want < %d", blocked, grown, 100+windowCap)
+	}
+	st := r.storm.Stats()
+	var latSum time.Duration
+	for _, l := range st.Latencies {
+		latSum += l
+	}
+	got := fmt.Sprintf("offered %d %v ok %d %v overloads %d deadlines %d refused %d latencies %d sum %v",
+		st.Offered, st.OfferedByClass, st.OK, st.OKByClass, st.Overloads, st.Deadlines, st.Refused,
+		len(st.Latencies), latSum)
+	const want = "offered 3975 [1325 1325 1325] ok 399 [21 51 327] overloads 24 deadlines 4 refused 0 latencies 399 sum 1m18.785835505s"
+	if got != want {
+		t.Fatalf("storm stats\n got %s\nwant %s", got, want)
 	}
 }
