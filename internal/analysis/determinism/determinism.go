@@ -60,16 +60,17 @@ var wallClockFns = map[string]bool{
 }
 
 // emissionMethods are methods whose call order is observable in the
-// simulation trace: kernel scheduling, process spawning, flight
+// simulation trace: kernel scheduling, process spawning, Cond wakeups
+// (Broadcast/Signal schedule one wakeup event per waiter), flight
 // recorder emission, control-plane RPC transmission, and the fluid
 // flow lifecycle (Start/Stop/SetRate emit flight-recorder events and
 // trigger the rate solver, whose per-flow EvFluidRate emissions follow
 // call order).
 var emissionMethods = map[string]bool{
 	"Schedule": true, "At": true, "AtFunc": true, "After": true,
-	"AfterFunc": true, "Spawn": true, "Emit": true, "call": true,
-	"transmit": true, "Start": true, "Stop": true, "SetRate": true,
-	"refreshFluid": true,
+	"AfterFunc": true, "Spawn": true, "Broadcast": true, "Signal": true,
+	"Emit": true, "call": true, "transmit": true, "Start": true,
+	"Stop": true, "SetRate": true, "refreshFluid": true,
 }
 
 func run(pass *analysis.Pass) error {

@@ -57,6 +57,19 @@ func (s *server) mapOrder(d time.Duration) {
 	}
 }
 
+func (s *server) wakeMapOrder(waiters map[int]*sim.Cond, order []int) {
+	for _, c := range waiters {
+		c.Broadcast() // want `Broadcast called while ranging over a map`
+	}
+	for _, c := range waiters {
+		c.Signal() // want `Signal called while ranging over a map`
+	}
+	// ok: ordered iteration
+	for _, id := range order {
+		waiters[id].Broadcast()
+	}
+}
+
 func (s *server) fluidMapOrder(flows map[string]*netsim.FluidFlow) {
 	for _, fl := range flows {
 		fl.SetRate(0) // want `SetRate called while ranging over a map`

@@ -162,7 +162,7 @@ func (j *Job) CrashRank(i int) {
 		EndStatus(spans.StatusFailed)
 	// Fail the rank's own outstanding operations so its blocked process
 	// wakes, observes the error, and returns.
-	r.failAllLocal(&RankFailedError{Rank: i})
+	r.failPending(&RankFailedError{Rank: i}, func(int) bool { return true })
 	// Abort transport in deterministic (sorted-peer) order.
 	for peer := 0; peer < j.Size(); peer++ {
 		if conn := r.conns[peer]; conn != nil {
@@ -186,35 +186,6 @@ func (j *Job) CrashRank(i int) {
 		rr.wired.Broadcast()
 	}
 	j.notifyRank(i, RankCrashed)
-}
-
-// failAllLocal completes every outstanding operation on this rank with
-// err: posted receives, rendezvous sends awaiting CTS, and matched or
-// unexpected rendezvous envelopes whose data will never arrive.
-func (r *Rank) failAllLocal(err error) {
-	for _, p := range r.posted {
-		p.err = err
-		p.cond.Broadcast()
-	}
-	r.posted = nil
-	for _, s := range r.rdvPending {
-		if !s.cts {
-			s.err = err
-			s.cond.Broadcast()
-		}
-	}
-	failEnv := func(e *envelope) {
-		if !e.arrived && e.ready != nil && e.err == nil {
-			e.err = err
-			e.ready.Broadcast()
-		}
-	}
-	for _, e := range r.matchedRdv {
-		failEnv(e)
-	}
-	for _, e := range r.unexpected {
-		failEnv(e)
-	}
 }
 
 // RestartOn installs a host policy for fault-injected restarts
@@ -242,10 +213,11 @@ func (j *Job) RestartRank(i int, h *Host) {
 	// Reset the transport and matching engine. Communicator handles,
 	// context allocations, and split/pair epoch counters survive: the
 	// application recovers its comm handles through the init-state
-	// checkpoint instead of re-running collective creation calls.
+	// checkpoint instead of re-running collective creation calls. Send
+	// turns carry over too: the crashed incarnation's queued sends drain
+	// through them, each failing as it reaches the front.
 	r.conns = make(map[int]*globusio.IO)
-	r.unexpected, r.posted, r.matchedRdv = nil, nil, nil
-	r.rdvPending = make(map[uint64]*rdvSend)
+	r.unexpected, r.posted, r.awaitingCTS = nil, nil, nil
 	r.deadPeers = nil
 	r.epoch++
 	r.crashed = false

@@ -234,15 +234,13 @@ type Rank struct {
 	conns     map[int]*globusio.IO
 	finalized bool
 
-	// Matching engine.
-	unexpected []*envelope
-	posted     []*postedRecv
-	matchedRdv []*envelope // matched rendezvous envelopes awaiting data
-	rdvPending map[uint64]*rdvSend
-	nextRdvSeq uint64
-
-	// Per-destination send sequence counters (diagnostics).
-	sent, received uint64
+	// Matching engine. posted and awaitingCTS hold the pending
+	// Requests in posting order; turns orders the sends to each peer.
+	unexpected  []*envelope
+	posted      []*Request
+	awaitingCTS []*Request
+	nextRdvSeq  uint64
+	turns       []sendTurn
 
 	splitEpoch map[int]int // per-source-comm CommSplit call counter
 	pairEpoch  map[[3]int]int
@@ -303,6 +301,10 @@ func (r *Rank) RecvBytesCounter(comm *Comm) *metrics.Counter {
 }
 
 func newRank(j *Job, id int, h *Host) *Rank {
+	turns := make([]sendTurn, len(j.hosts))
+	for i := range turns {
+		turns[i].cond = sim.NewCond(j.k)
+	}
 	return &Rank{
 		job:        j,
 		id:         id,
@@ -310,7 +312,7 @@ func newRank(j *Job, id int, h *Host) *Rank {
 		task:       h.CPU.NewTask(fmt.Sprintf("rank-%d", id)),
 		wired:      sim.NewCond(j.k),
 		conns:      make(map[int]*globusio.IO),
-		rdvPending: make(map[uint64]*rdvSend),
+		turns:      turns,
 		splitEpoch: make(map[int]int),
 		pairEpoch:  make(map[[3]int]int),
 	}

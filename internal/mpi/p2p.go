@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"mpichgq/internal/globusio"
@@ -55,33 +56,50 @@ type wireMsg struct {
 	sentAt time.Duration
 }
 
-// envelope is a message known to the receiver (arrived eagerly, or
-// announced by RTS with data still in flight).
+// envelope is a message known to the receiver: arrived eagerly, or
+// announced by RTS with its data still to come.
 type envelope struct {
 	src     int // global rank
 	ctx     int
 	tag     int
 	size    units.ByteSize
 	data    any
-	arrived bool      // data present
-	rdvSeq  uint64    // for RTS envelopes
-	rdvFrom int       // global rank to send CTS to
-	matched bool      // a posted recv claimed it
-	ready   *sim.Cond // signalled when data arrives (rendezvous)
-	// err marks a rendezvous envelope whose data will never arrive
-	// (the sender died between RTS and data); signalled via ready.
+	arrived bool   // data present
+	rdvSeq  uint64 // the sender's rendezvous transaction, for RTS envelopes
+	// err marks an unexpected RTS envelope whose data will never arrive
+	// (its sender went down); the receive that matches it fails.
 	err    error
 	sentAt time.Duration
 }
 
-// postedRecv is a blocked or nonblocking receive awaiting a match.
-type postedRecv struct {
-	src  int // global rank or AnySource
-	ctx  int
-	tag  int
-	env  *envelope
-	err  error
-	cond *sim.Cond
+// sendTurn keeps the sends to one peer in call order, MPI's
+// non-overtaking rule: each send draws a ticket when it is called and
+// writes its eager frame or RTS when that ticket is served.
+type sendTurn struct {
+	next, serving uint64
+	cond          *sim.Cond
+}
+
+// take draws the next ticket.
+func (t *sendTurn) take() uint64 {
+	t.next++
+	return t.next - 1
+}
+
+// gate admits the holder of ticket once it is served.
+func (t *sendTurn) gate(ticket uint64) sim.Gate {
+	return func() (*sim.Cond, time.Duration) {
+		if t.serving == ticket {
+			return nil, 0
+		}
+		return t.cond, 0
+	}
+}
+
+// pass hands the turn to the next ticket.
+func (t *sendTurn) pass() {
+	t.serving++
+	t.cond.Broadcast()
 }
 
 // peerDown fails pending and future receives from a finished or
@@ -112,49 +130,43 @@ func (r *Rank) peerDown(peer int, conn *globusio.IO) {
 	if crashed {
 		err = &RankFailedError{Rank: peer}
 	}
-	kept := r.posted[:0]
-	for _, p := range r.posted {
-		if p.src == peer || (crashed && p.src == AnySource) {
-			p.err = err
-			p.cond.Broadcast()
-			continue
-		}
-		kept = append(kept, p)
-	}
-	r.posted = kept
-	for _, s := range r.rdvPending {
-		if s.peer == peer && !s.cts {
-			s.err = err
-			s.cond.Broadcast()
-		}
-	}
-	// Rendezvous envelopes announced by the dead peer whose data will
-	// never arrive: fail them so blocked receivers wake.
-	failEnv := func(e *envelope) {
-		if e.src == peer && !e.arrived && e.ready != nil && e.err == nil {
-			e.err = err
-			e.ready.Broadcast()
-		}
-	}
-	for _, e := range r.matchedRdv {
-		failEnv(e)
-	}
+	r.failPending(err, func(p int) bool { return p == peer || (crashed && p == AnySource) })
+}
+
+// failPending completes with err every pending operation that waits on
+// a rank down reports true for: receives posted for it or owed its
+// rendezvous data, and sends awaiting its clear-to-send. Each list is
+// walked front to back, so the operations fail in the order they were
+// posted. Unexpected RTS envelopes from such a rank are marked, so the
+// receive that later matches one fails instead of waiting for data.
+func (r *Rank) failPending(err error, down func(peer int) bool) {
+	r.posted = failList(r.posted, err, down)
+	r.awaitingCTS = failList(r.awaitingCTS, err, down)
 	for _, e := range r.unexpected {
-		failEnv(e)
+		if !e.arrived && e.err == nil && down(e.src) {
+			e.err = err
+		}
 	}
 }
 
-// rdvSend tracks a sender-side rendezvous awaiting CTS.
-type rdvSend struct {
-	peer int
-	cond *sim.Cond
-	cts  bool
-	err  error
+// failList completes the requests of list whose peer is down and
+// returns the rest, in order.
+func failList(list []*Request, err error, down func(peer int) bool) []*Request {
+	kept := list[:0]
+	for _, q := range list {
+		if down(q.peer) {
+			q.complete(nil, err)
+			continue
+		}
+		kept = append(kept, q)
+	}
+	clear(list[len(kept):])
+	return kept
 }
 
 // readerLoop is the per-peer progress engine: it turns stream markers
 // into envelopes and drives the rendezvous protocol. When the peer's
-// connection shuts down (clean or not), pending receives from that
+// connection shuts down (clean or not), pending operations on that
 // peer fail with ErrRankFinished rather than hanging.
 func (r *Rank) readerLoop(ctx *sim.Ctx, peer int, conn *globusio.IO) {
 	defer r.peerDown(peer, conn)
@@ -170,53 +182,54 @@ func (r *Rank) readerLoop(ctx *sim.Ctx, peer int, conn *globusio.IO) {
 		}
 		switch m.kind {
 		case kindEager:
-			r.received++
 			r.deliver(&envelope{
 				src: m.src, ctx: m.ctx, tag: m.tag,
 				size: m.size, data: m.data, arrived: true, sentAt: m.sentAt,
 			})
 		case kindRTS:
-			env := &envelope{
+			r.deliver(&envelope{
 				src: m.src, ctx: m.ctx, tag: m.tag,
-				size: m.size, rdvSeq: m.seq, rdvFrom: m.src,
-				ready: sim.NewCond(r.job.k), sentAt: m.sentAt,
-			}
-			r.deliver(env)
+				size: m.size, rdvSeq: m.seq, sentAt: m.sentAt,
+			})
 		case kindCTS:
-			if s := r.rdvPending[m.seq]; s != nil {
-				s.cts = true
-				s.cond.Broadcast()
+			for i, q := range r.awaitingCTS {
+				if q.seq == m.seq {
+					r.awaitingCTS = slices.Delete(r.awaitingCTS, i, i+1)
+					q.cts = true
+					q.cond.Broadcast()
+					break
+				}
 			}
 		case kindRdvData:
-			r.received++
 			r.completeRdv(m)
 		}
 	}
 }
 
-// deliver matches an incoming envelope against posted receives or
-// queues it as unexpected.
+// deliver matches an incoming envelope against the posted receives, in
+// posting order, or queues it as unexpected. A receive matched by an
+// RTS stays posted until its data arrives.
 func (r *Rank) deliver(env *envelope) {
-	for i, p := range r.posted {
-		if p.matches(env) {
-			r.posted = append(r.posted[:i], r.posted[i+1:]...)
-			p.env = env
-			env.matched = true
-			r.maybeCTS(env)
-			p.cond.Broadcast()
-			return
+	for i, q := range r.posted {
+		if !q.matches(env) {
+			continue
 		}
+		if env.arrived {
+			r.posted = slices.Delete(r.posted, i, i+1)
+			r.completeRecv(q, env)
+		} else {
+			q.env, q.peer = env, env.src
+			r.sendCTS(env)
+		}
+		return
 	}
 	r.unexpected = append(r.unexpected, env)
 }
 
-// maybeCTS sends clear-to-send for a matched rendezvous envelope.
-func (r *Rank) maybeCTS(env *envelope) {
-	if env.arrived || env.ready == nil {
-		return
-	}
+// sendCTS sends clear-to-send for a matched RTS envelope.
+func (r *Rank) sendCTS(env *envelope) {
 	// Send CTS from a helper process (we may be in kernel context).
-	peer := env.rdvFrom
+	peer := env.src
 	seq := env.rdvSeq
 	r.job.k.Spawn(fmt.Sprintf("mpi-cts-%d->%d", r.id, peer), func(ctx *sim.Ctx) {
 		conn := r.conns[peer]
@@ -227,91 +240,107 @@ func (r *Rank) maybeCTS(env *envelope) {
 	})
 }
 
-// completeRdv attaches arrived rendezvous data to its envelope.
+// completeRdv hands arrived rendezvous data to the posted receive that
+// matched its RTS.
 func (r *Rank) completeRdv(m wireMsg) {
-	// The envelope is either in unexpected or already matched by a
-	// posted recv; find by (src, seq).
-	if env := r.findRdv(m.src, m.seq); env != nil {
-		env.data = m.data
-		env.arrived = true
-		if env.ready != nil {
-			env.ready.Broadcast()
+	for i, q := range r.posted {
+		if env := q.env; env != nil && env.src == m.src && env.rdvSeq == m.seq {
+			r.posted = slices.Delete(r.posted, i, i+1)
+			env.data = m.data
+			r.completeRecv(q, env)
+			return
 		}
-		return
 	}
-	// Under failures the envelope may be legitimately gone: a crash
-	// fails matched envelopes and the blocked Recv drops them, but
-	// in-flight data can still be readable ahead of the connection
-	// teardown. Drop the stray; in a healthy job it is a protocol bug.
+	// Under failures the receive may be legitimately gone: a crash
+	// fails it, but in-flight data can still be readable ahead of the
+	// connection teardown. Drop the stray; in a healthy job it is a
+	// protocol bug.
 	if r.crashed || len(r.job.failed) > 0 || r.job.restarts > 0 {
 		return
 	}
-	panic(fmt.Sprintf("mpi: rank %d got rendezvous data with no envelope (src=%d seq=%d)", r.id, m.src, m.seq))
+	panic(fmt.Sprintf("mpi: rank %d got rendezvous data with no receive (src=%d seq=%d)", r.id, m.src, m.seq))
 }
 
-func (r *Rank) findRdv(src int, seq uint64) *envelope {
-	for _, e := range r.unexpected {
-		if e.src == src && e.rdvSeq == seq && e.ready != nil && !e.arrived {
-			return e
-		}
-	}
-	for _, p := range r.posted {
-		if p.env != nil && p.env.src == src && p.env.rdvSeq == seq {
-			return p.env
-		}
-	}
-	// Matched envelopes held by blocked Recv calls.
-	for _, e := range r.matchedRdv {
-		if e.src == src && e.rdvSeq == seq && !e.arrived {
-			return e
-		}
-	}
-	return nil
-}
-
-func (p *postedRecv) matches(env *envelope) bool {
-	if env.matched {
-		return false
-	}
-	if p.ctx != env.ctx {
-		return false
-	}
-	if p.src != AnySource && p.src != env.src {
-		return false
-	}
-	if p.tag != AnyTag && p.tag != env.tag {
-		return false
-	}
-	return true
+// completeRecv completes receive q with env's message and records the
+// delivery.
+func (r *Rank) completeRecv(q *Request, env *envelope) {
+	r.observeRecv(q.comm.ctxID, env)
+	q.complete(&Message{
+		Src:  q.comm.localRank(env.src),
+		Tag:  env.tag,
+		Len:  env.size,
+		Data: env.data,
+	}, nil)
 }
 
 // Send transmits n bytes with data attached to (dest, tag) on comm,
 // blocking until the message is handed to the transport (standard-mode
-// semantics: buffered locally or matched remotely).
+// semantics: buffered locally or matched remotely). It waits for any
+// earlier send to the same peer to reach the wire first.
 func (r *Rank) Send(ctx *sim.Ctx, comm *Comm, dest, tag int, n units.ByteSize, data any) error {
-	if n < 0 {
-		return fmt.Errorf("mpi: negative message size %d", n)
-	}
-	gdest, err := comm.globalRank(dest)
+	gdest, err := checkSend(comm, dest, n)
 	if err != nil {
 		return err
 	}
+	turn := &r.turns[gdest]
+	if ticket := turn.take(); ticket != turn.serving {
+		ctx.Await(turn.gate(ticket))
+	}
+	return r.handleErr(r.send(ctx, nil, comm, gdest, tag, n, data))
+}
+
+// checkSend validates a send's arguments and returns the destination's
+// world rank.
+func checkSend(comm *Comm, dest int, n units.ByteSize) (int, error) {
+	if n < 0 {
+		return 0, fmt.Errorf("mpi: negative message size %d", n)
+	}
+	return comm.globalRank(dest)
+}
+
+// send runs a send that holds its turn toward gdest. The turn passes
+// on once the eager frame or the RTS is written, or the send fails
+// before that; a rendezvous send then waits for clear-to-send and
+// writes its data. q is the send's Request if it has one (Isend); a
+// blocking rendezvous Send makes one to wait on.
+func (r *Rank) send(ctx *sim.Ctx, q *Request, comm *Comm, gdest, tag int, n units.ByteSize, data any) error {
+	q, conn, err := r.announce(ctx, q, comm, gdest, tag, n, data)
+	r.turns[gdest].pass()
+	if err != nil || conn == nil {
+		return err
+	}
+	for !q.cts && !q.done {
+		q.cond.Wait(ctx)
+	}
+	if q.done {
+		return q.err // failed while awaiting clear-to-send
+	}
+	if err := conn.WriteMsg(ctx, envelopeSize+n, wireMsg{
+		kind: kindRdvData, src: r.id, size: n, data: data, seq: q.seq,
+	}); err != nil {
+		return r.commFail(gdest, err)
+	}
+	return nil
+}
+
+// announce puts the eager frame on the wire, or, for a rendezvous,
+// queues q on awaitingCTS and writes the RTS. It returns the
+// connection only for a rendezvous, whose data is still to be sent.
+func (r *Rank) announce(ctx *sim.Ctx, q *Request, comm *Comm, gdest, tag int, n units.ByteSize, data any) (*Request, *globusio.IO, error) {
 	if r.crashed {
-		return r.handleErr(&RankFailedError{Rank: r.id})
+		return q, nil, &RankFailedError{Rank: r.id}
 	}
 	if gdest != r.id && r.job.failed[gdest] {
-		return r.handleErr(&RankFailedError{Rank: gdest})
+		return q, nil, &RankFailedError{Rank: gdest}
 	}
 	now := r.job.k.Now()
 	cm := r.commMetrics(comm.ctxID)
 	if gdest == r.id {
 		// Self-send: deliver directly.
-		r.sent++
-		r.received++
 		cm.sentMsgs.Inc()
 		cm.sentBytes.Add(int64(n))
 		r.deliver(&envelope{src: r.id, ctx: comm.ctxID, tag: tag, size: n, data: data, arrived: true, sentAt: now})
-		return nil
+		return q, nil, nil
 	}
 	conn := r.conns[gdest]
 	// A restarted job may catch the peer mid-rejoin: it is alive (not
@@ -324,52 +353,41 @@ func (r *Rank) Send(ctx *sim.Ctx, comm *Comm, dest, tag int, n units.ByteSize, d
 		conn = r.conns[gdest]
 	}
 	if r.crashed {
-		return r.handleErr(&RankFailedError{Rank: r.id})
+		return q, nil, &RankFailedError{Rank: r.id}
 	}
 	if conn == nil {
 		if r.job.failed[gdest] {
-			return r.handleErr(&RankFailedError{Rank: gdest})
+			return q, nil, &RankFailedError{Rank: gdest}
 		}
 		if r.deadPeers[gdest] {
-			return r.handleErr(ErrRankFinished)
+			return q, nil, ErrRankFinished
 		}
-		return fmt.Errorf("mpi: rank %d has no connection to %d", r.id, gdest)
+		return q, nil, fmt.Errorf("mpi: rank %d has no connection to %d", r.id, gdest)
 	}
-	r.sent++
 	cm.sentMsgs.Inc()
 	cm.sentBytes.Add(int64(n))
 	if n <= r.job.opts.EagerThreshold {
 		if err := conn.WriteMsg(ctx, envelopeSize+n, wireMsg{
 			kind: kindEager, src: r.id, ctx: comm.ctxID, tag: tag, size: n, data: data, sentAt: now,
 		}); err != nil {
-			return r.handleErr(r.commFail(gdest, err))
+			return q, nil, r.commFail(gdest, err)
 		}
-		return nil
+		return q, nil, nil
 	}
-	// Rendezvous: RTS, wait for CTS, then bulk data.
+	// Rendezvous: RTS now; the caller waits for CTS, then sends the data.
+	if q == nil {
+		q = &Request{rank: r, peer: gdest, cond: sim.NewCond(r.job.k)}
+	}
 	r.nextRdvSeq++
-	seq := r.nextRdvSeq
-	pend := &rdvSend{peer: gdest, cond: sim.NewCond(r.job.k)}
-	r.rdvPending[seq] = pend
+	q.seq = r.nextRdvSeq
+	r.awaitingCTS = append(r.awaitingCTS, q)
 	if err := conn.WriteMsg(ctx, envelopeSize, wireMsg{
-		kind: kindRTS, src: r.id, ctx: comm.ctxID, tag: tag, size: n, seq: seq, sentAt: now,
+		kind: kindRTS, src: r.id, ctx: comm.ctxID, tag: tag, size: n, seq: q.seq, sentAt: now,
 	}); err != nil {
-		delete(r.rdvPending, seq)
-		return r.handleErr(r.commFail(gdest, err))
+		r.awaitingCTS = slices.DeleteFunc(r.awaitingCTS, func(p *Request) bool { return p == q })
+		return q, nil, r.commFail(gdest, err)
 	}
-	for !pend.cts && pend.err == nil {
-		pend.cond.Wait(ctx)
-	}
-	delete(r.rdvPending, seq)
-	if pend.err != nil {
-		return r.handleErr(pend.err)
-	}
-	if err := conn.WriteMsg(ctx, envelopeSize+n, wireMsg{
-		kind: kindRdvData, src: r.id, size: n, data: data, seq: seq,
-	}); err != nil {
-		return r.handleErr(r.commFail(gdest, err))
-	}
-	return nil
+	return q, conn, nil
 }
 
 // commFail maps a transport-level write error to the MPI-level cause:
@@ -388,36 +406,14 @@ func (r *Rank) commFail(peer int, err error) error {
 // Recv blocks until a message matching (src, tag) on comm arrives and
 // returns it. src may be AnySource and tag AnyTag.
 func (r *Rank) Recv(ctx *sim.Ctx, comm *Comm, src, tag int) (*Message, error) {
-	gsrc := src
-	if src != AnySource {
-		var err error
-		gsrc, err = comm.globalRank(src)
-		if err != nil {
-			return nil, err
-		}
-	}
-	env, err := r.matchOrWait(ctx, comm, gsrc, tag)
+	q, err := r.Irecv(ctx, comm, src, tag)
 	if err != nil {
-		return nil, r.handleErr(err)
+		return nil, err
 	}
-	// Rendezvous: data may still be in flight.
-	if !env.arrived {
-		r.matchedRdv = append(r.matchedRdv, env)
-		for !env.arrived && env.err == nil {
-			env.ready.Wait(ctx)
-		}
-		r.dropMatchedRdv(env)
-		if env.err != nil {
-			return nil, r.handleErr(env.err)
-		}
+	if err := q.Wait(ctx); err != nil {
+		return nil, err
 	}
-	r.observeRecv(comm.ctxID, env)
-	return &Message{
-		Src:  comm.localRank(env.src),
-		Tag:  env.tag,
-		Len:  env.size,
-		Data: env.data,
-	}, nil
+	return q.msg, nil
 }
 
 // observeRecv records delivery metrics: per-communicator message and
@@ -431,81 +427,6 @@ func (r *Rank) observeRecv(ctxID int, env *envelope) {
 	cm.latency.Observe(lat.Seconds())
 	r.job.k.Metrics().Events().Emit(metrics.EvMPIRecv, cm.subject,
 		int64(env.size), int64(ctxID), int64(lat))
-}
-
-// matchOrWait finds the first matching unexpected envelope or posts a
-// receive and blocks. It fails fast when the awaited peer's
-// connection has shut down or the peer is in the failed-process
-// group; a wildcard receive fails when any rank in the communicator's
-// group has failed (MPI_ANY_SOURCE cannot complete safely — the
-// failed rank might have been the intended sender).
-func (r *Rank) matchOrWait(ctx *sim.Ctx, comm *Comm, gsrc, tag int) (*envelope, error) {
-	ctxID := comm.ctxID
-	if r.crashed {
-		return nil, &RankFailedError{Rank: r.id}
-	}
-	for i, e := range r.unexpected {
-		p := postedRecv{src: gsrc, ctx: ctxID, tag: tag}
-		if p.matches(e) {
-			r.unexpected = append(r.unexpected[:i], r.unexpected[i+1:]...)
-			e.matched = true
-			r.maybeCTS(e)
-			return e, nil
-		}
-	}
-	if gsrc != AnySource && gsrc != r.id {
-		if r.job.failed[gsrc] {
-			return nil, &RankFailedError{Rank: gsrc}
-		}
-		if r.deadPeers[gsrc] {
-			return nil, ErrRankFinished
-		}
-	}
-	if gsrc == AnySource && len(r.job.failed) > 0 {
-		for _, g := range comm.group {
-			if g != r.id && r.job.failed[g] {
-				return nil, &RankFailedError{Rank: g}
-			}
-		}
-	}
-	p := &postedRecv{src: gsrc, ctx: ctxID, tag: tag, cond: sim.NewCond(r.job.k)}
-	r.posted = append(r.posted, p)
-	for p.env == nil && p.err == nil {
-		p.cond.Wait(ctx)
-	}
-	if p.err != nil {
-		return nil, p.err
-	}
-	return p.env, nil
-}
-
-func (r *Rank) dropMatchedRdv(env *envelope) {
-	for i, e := range r.matchedRdv {
-		if e == env {
-			r.matchedRdv = append(r.matchedRdv[:i], r.matchedRdv[i+1:]...)
-			return
-		}
-	}
-}
-
-// Probe reports whether a matching message is available without
-// receiving it.
-func (r *Rank) Probe(comm *Comm, src, tag int) bool {
-	gsrc := src
-	if src != AnySource {
-		var err error
-		gsrc, err = comm.globalRank(src)
-		if err != nil {
-			return false
-		}
-	}
-	p := postedRecv{src: gsrc, ctx: comm.ctxID, tag: tag}
-	for _, e := range r.unexpected {
-		if p.matches(e) {
-			return true
-		}
-	}
-	return false
 }
 
 // SendRecv performs a blocking exchange: send to dest then receive

@@ -1,8 +1,10 @@
 package tcpsim
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"mpichgq/internal/netsim"
@@ -98,8 +100,7 @@ type Conn struct {
 	readPos    int64
 	rcvBufCap  units.ByteSize
 	ooo        []interval
-	rcvMarkers map[int64]any
-	seenMarker map[int64]bool
+	rcvMarkers []marker // pending, ordered by stream position
 	rcvCond    *sim.Cond
 	peerFin    int64 // seq of peer's FIN, -1 if none
 	eof        bool
@@ -164,8 +165,6 @@ func newConn(s *Stack, lport netsim.Port, raddr netsim.Addr, rport netsim.Port) 
 		rcvCond:     sim.NewCond(s.k),
 		finSeq:      -1,
 		peerFin:     -1,
-		rcvMarkers:  make(map[int64]any),
-		seenMarker:  make(map[int64]bool),
 	}
 	// Sequence space: ISS 0 on both sides; the SYN consumes seq 0 so
 	// the byte stream starts at position 1.
@@ -361,21 +360,21 @@ func (c *Conn) ReadFull(ctx *sim.Ctx, n units.ByteSize) error {
 func (c *Conn) ReadMsg(ctx *sim.Ctx) (units.ByteSize, any, error) {
 	var consumed units.ByteSize
 	for {
-		pos, obj, ok := c.nextMarker()
-		if ok && pos <= c.rcvNxt {
+		next, ok := c.nextMarker()
+		if ok && next.pos <= c.rcvNxt {
 			// Whole message available: consume through the marker.
-			consumed += units.ByteSize(pos - c.readPos)
-			c.consume(pos - c.readPos)
-			delete(c.rcvMarkers, pos)
-			return consumed, obj, nil
+			consumed += units.ByteSize(next.pos - c.readPos)
+			c.consume(next.pos - c.readPos)
+			c.rcvMarkers = slices.Delete(c.rcvMarkers, 0, 1)
+			return consumed, next.obj, nil
 		}
 		// Marker not yet reached. Everything buffered belongs to the
 		// current message (markers arrive with the segment that ends
 		// the message, and the stream is in order), so drain it to
 		// keep the window open.
 		limit := c.dataLimit()
-		if ok && pos < limit {
-			limit = pos
+		if ok && next.pos < limit {
+			limit = next.pos
 		}
 		if n := limit - c.readPos; n > 0 {
 			consumed += units.ByteSize(n)
@@ -396,18 +395,27 @@ func (c *Conn) ReadMsg(ctx *sim.Ctx) (units.ByteSize, any, error) {
 }
 
 // nextMarker returns the earliest pending marker.
-func (c *Conn) nextMarker() (int64, any, bool) {
-	best := int64(-1)
-	var obj any
-	for pos, o := range c.rcvMarkers {
-		if best == -1 || pos < best {
-			best, obj = pos, o
-		}
+func (c *Conn) nextMarker() (marker, bool) {
+	if len(c.rcvMarkers) == 0 {
+		return marker{}, false
 	}
-	if best == -1 {
-		return 0, nil, false
+	return c.rcvMarkers[0], true
+}
+
+// addMarker records a marker that arrived with a segment, keeping
+// rcvMarkers ordered by stream position. Retransmits repeat markers:
+// one at or before the read position has been consumed already, and
+// one already pending is a copy, so both are dropped.
+func (c *Conn) addMarker(m marker) {
+	if m.pos <= c.readPos {
+		return
 	}
-	return best, obj, true
+	i, pending := slices.BinarySearchFunc(c.rcvMarkers, m.pos, func(x marker, pos int64) int {
+		return cmp.Compare(x.pos, pos)
+	})
+	if !pending {
+		c.rcvMarkers = slices.Insert(c.rcvMarkers, i, m)
+	}
 }
 
 // dataLimit returns the stream position after the last readable data

@@ -510,12 +510,8 @@ func (c *Conn) trimMarkers() {
 // processData handles an arriving payload range.
 func (c *Conn) processData(seg *segment) {
 	start, end := seg.seq, seg.seq+int64(seg.length)
-	// Absorb markers (dedup on position; retransmits repeat them).
 	for _, m := range seg.markers {
-		if !c.seenMarker[m.pos] {
-			c.seenMarker[m.pos] = true
-			c.rcvMarkers[m.pos] = m.obj
-		}
+		c.addMarker(m)
 	}
 	switch {
 	case end <= c.rcvNxt:

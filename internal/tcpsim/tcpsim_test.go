@@ -2,6 +2,7 @@ package tcpsim
 
 import (
 	"io"
+	"slices"
 	"testing"
 	"time"
 
@@ -756,5 +757,32 @@ func TestMsgMarkerAcrossSegments(t *testing.T) {
 	}
 	if n != 100*units.KB || obj != "payload" {
 		t.Fatalf("ReadMsg = %d/%v", n, obj)
+	}
+}
+
+// TestMarkerBookkeeping: receive-side markers stay ordered by stream
+// position whatever order segments bring them in, and a retransmitted
+// copy — of a pending marker or of one already consumed — is dropped,
+// so the bookkeeping holds only the pending markers.
+func TestMarkerBookkeeping(t *testing.T) {
+	c := &Conn{readPos: 1}
+	for _, pos := range []int64{30, 10, 20, 10, 30} {
+		c.addMarker(marker{pos: pos, obj: pos})
+	}
+	var got []int64
+	for _, m := range c.rcvMarkers {
+		got = append(got, m.pos)
+	}
+	if want := []int64{10, 20, 30}; !slices.Equal(got, want) {
+		t.Fatalf("pending markers %v, want %v", got, want)
+	}
+	// Consume through the first marker, as ReadMsg does, then replay
+	// it: the copy is behind the read position.
+	next, _ := c.nextMarker()
+	c.readPos = next.pos
+	c.rcvMarkers = slices.Delete(c.rcvMarkers, 0, 1)
+	c.addMarker(marker{pos: 10, obj: int64(10)})
+	if len(c.rcvMarkers) != 2 || c.rcvMarkers[0].pos != 20 {
+		t.Fatalf("after replaying a consumed marker: %v", c.rcvMarkers)
 	}
 }
