@@ -58,13 +58,15 @@ test-chaos:
 		-timeout 900s
 
 # Fuzz targets against their references, for a fixed budget each:
-# kernel event ordering against a brute-force queue, and the AIMD
-# limiter's gated grants against the plain re-check loop. Plain
-# `go test` replays only the committed seed corpora under
+# kernel event ordering against a brute-force queue, the AIMD
+# limiter's gated grants against the plain re-check loop, and TCP
+# message framing over a lossy link against the writer's call list.
+# Plain `go test` replays only the committed seed corpora under
 # testdata/fuzz/ in each package.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelOrder$$' -fuzztime 30s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzLimiterGrants$$' -fuzztime 30s ./internal/ctrlplane/
+	$(GO) test -run '^$$' -fuzz '^FuzzConnMessages$$' -fuzztime 30s ./internal/tcpsim/
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run xxx -timeout 1800s .

@@ -18,6 +18,9 @@
 // this for their own computation (e.g. rendering a frame) and the
 // globus-io layer uses it for per-byte socket copy costs, which is how
 // CPU contention throttles network throughput in Figures 8 and 9.
+// A task runs one computation at a time: Start queues work behind the
+// task's earlier computations without blocking, and Compute is Start
+// plus a wait for that work to finish.
 package dsrt
 
 import (
@@ -84,9 +87,15 @@ type Task struct {
 	rate       float64 // current share of the CPU
 	lastUpdate time.Duration
 	timer      sim.Timer
-	done       *sim.Cond
+	done       *sim.Cond // broadcast as each computation finishes
 
-	// Deadline accounting for the current Compute call.
+	// Computations queued behind the active one, in Start order.
+	// started and finished count computations, so a Charge is done
+	// once finished reaches its number.
+	queue             []time.Duration
+	started, finished uint64
+
+	// Deadline accounting for the active computation.
 	computeStart time.Duration
 	computeWork  float64 // work-seconds requested
 
@@ -133,22 +142,61 @@ func (t *Task) SetReservation(frac float64) error {
 	return nil
 }
 
-// Compute blocks the calling process until the task has received work
-// seconds of CPU time at its scheduled share.
-func (t *Task) Compute(ctx *sim.Ctx, work time.Duration) {
+// Charge is a handle to one computation queued by Start. The zero
+// Charge is already complete.
+type Charge struct {
+	t   *Task
+	seq uint64
+}
+
+// Pending returns the Cond to wait on while the computation is queued
+// or running, and nil once it has finished (or the task was closed).
+// A waiter woken by the Cond re-checks Pending.
+func (c Charge) Pending() *sim.Cond {
+	if c.t == nil || c.seq <= c.t.finished {
+		return nil
+	}
+	return c.t.done
+}
+
+// gate adapts Pending to a sim.Gate.
+func (c Charge) gate() (*sim.Cond, time.Duration) { return c.Pending(), 0 }
+
+// Start queues work seconds of computation on the task and returns at
+// once. Computations run one at a time in Start order; each is
+// served at the task's scheduled share from the moment the previous
+// one finishes. Non-positive work, or work on a closed task, yields a
+// completed Charge.
+func (t *Task) Start(work time.Duration) Charge {
 	if work <= 0 || t.closed {
-		return
+		return Charge{}
 	}
+	t.started++
 	if t.computing {
-		panic(fmt.Sprintf("dsrt: task %q has overlapping Compute calls", t.name))
+		t.queue = append(t.queue, work)
+	} else {
+		t.begin(work)
+		t.cpu.recompute()
 	}
+	return Charge{t: t, seq: t.started}
+}
+
+// Compute blocks the calling process until the task has received work
+// seconds of CPU time at its scheduled share, after any computations
+// started before it.
+func (t *Task) Compute(ctx *sim.Ctx, work time.Duration) {
+	if c := t.Start(work); c.Pending() != nil {
+		ctx.Await(c.gate)
+	}
+}
+
+// begin makes work the active computation.
+func (t *Task) begin(work time.Duration) {
 	t.computing = true
 	t.remaining = work.Seconds()
 	t.lastUpdate = t.cpu.k.Now()
 	t.computeStart = t.lastUpdate
 	t.computeWork = t.remaining
-	t.cpu.recompute()
-	t.done.Wait(ctx)
 }
 
 // Used returns the task's cumulative CPU-seconds.
@@ -165,8 +213,8 @@ func (t *Task) Share() float64 {
 	return t.rate
 }
 
-// Close deregisters the task. Any in-flight Compute is abandoned (the
-// blocked process is released).
+// Close deregisters the task. The in-flight computation and any
+// queued behind it are abandoned (their waiters are released).
 func (t *Task) Close() {
 	if t.closed {
 		return
@@ -175,6 +223,8 @@ func (t *Task) Close() {
 	t.timer.Cancel()
 	if t.computing {
 		t.computing = false
+		t.queue = nil
+		t.finished = t.started
 		t.done.Broadcast()
 	}
 	for i, x := range t.cpu.tasks {
@@ -209,9 +259,9 @@ func (c *CPU) recompute() {
 	for _, t := range c.tasks {
 		t.settle(now)
 		if t.computing && t.remaining <= 1e-12 {
-			// Finished exactly at a boundary; complete below.
+			// Finished exactly at a boundary; a queued computation
+			// takes its place.
 			t.finish()
-			continue
 		}
 		if t.computing {
 			runnable = append(runnable, t)
@@ -264,11 +314,13 @@ func (c *CPU) recompute() {
 	}
 }
 
-// finish completes the task's current computation.
+// finish completes the task's current computation and begins the
+// next queued one, if any; the caller recomputes shares.
 func (t *Task) finish() {
 	t.computing = false
 	t.remaining = 0
 	t.timer.Cancel()
+	t.finished++
 	t.cpu.mComputations.Inc()
 	// A reservation of fraction f promises the work completes within
 	// work/f wall time; anything beyond (plus 1% scheduling slack) is
@@ -283,7 +335,12 @@ func (t *Task) finish() {
 				int64(allowed*float64(time.Second)), 0)
 		}
 	}
-	t.done.Signal()
+	if len(t.queue) > 0 {
+		next := t.queue[0]
+		t.queue = t.queue[1:]
+		t.begin(next)
+	}
+	t.done.Broadcast()
 }
 
 // Load returns the number of currently runnable tasks and the sum of

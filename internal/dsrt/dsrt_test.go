@@ -248,14 +248,58 @@ func TestCloseFreesShareForOthers(t *testing.T) {
 	}
 }
 
-func TestOverlappingComputePanics(t *testing.T) {
+// TestOverlappingComputeQueues: computations on one task run one at a
+// time in the order they were started, each at the task's full share
+// once its turn comes, and the task's CPU share is unchanged by the
+// queue: a second task still splits the processor with it 50/50.
+func TestOverlappingComputeQueues(t *testing.T) {
 	k := sim.New(1)
 	cpu := NewCPU(k, "host")
 	a := cpu.NewTask("a")
-	k.Spawn("p1", func(ctx *sim.Ctx) { a.Compute(ctx, time.Second) })
-	k.Spawn("p2", func(ctx *sim.Ctx) { a.Compute(ctx, time.Second) })
-	if err := k.Run(); err == nil {
-		t.Fatal("expected captured panic for overlapping Compute")
+	b := cpu.NewTask("b")
+	var p1, p2, other time.Duration
+	k.Spawn("p1", func(ctx *sim.Ctx) { a.Compute(ctx, time.Second); p1 = ctx.Now() })
+	k.Spawn("p2", func(ctx *sim.Ctx) { a.Compute(ctx, time.Second); p2 = ctx.Now() })
+	k.Spawn("other", func(ctx *sim.Ctx) { b.Compute(ctx, 2*time.Second); other = ctx.Now() })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// a and b share the CPU at 0.5 each for 4 s: a's two 1 s
+	// computations end at 2 s and 4 s, b's 2 s one at 4 s.
+	if !almost(p1, 2*time.Second, time.Millisecond) || !almost(p2, 4*time.Second, time.Millisecond) {
+		t.Fatalf("queued computations finished at %v and %v, want 2s and 4s", p1, p2)
+	}
+	if !almost(other, 4*time.Second, time.Millisecond) {
+		t.Fatalf("other task finished at %v, want 4s", other)
+	}
+}
+
+// TestStartIsNonBlocking: Start returns at once with a Charge that is
+// pending until its turn is served; Close releases every queued one.
+func TestStartIsNonBlocking(t *testing.T) {
+	k := sim.New(1)
+	cpu := NewCPU(k, "host")
+	a := cpu.NewTask("a")
+	c1 := a.Start(time.Second)
+	c2 := a.Start(time.Second)
+	if (Charge{}).Pending() != nil || a.Start(0).Pending() != nil {
+		t.Fatal("zero Charge or zero work should be complete")
+	}
+	if c1.Pending() == nil || c2.Pending() == nil {
+		t.Fatal("started charges should be pending")
+	}
+	if err := k.RunUntil(1500 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if c1.Pending() != nil || c2.Pending() == nil {
+		t.Fatalf("at 1.5s: first done=%v second done=%v, want true false", c1.Pending() == nil, c2.Pending() == nil)
+	}
+	a.Close()
+	if c2.Pending() != nil {
+		t.Fatal("Close should complete the queued charge")
+	}
+	if a.Start(time.Second).Pending() != nil {
+		t.Fatal("Start on a closed task should be complete")
 	}
 }
 

@@ -65,6 +65,19 @@ type IO struct {
 	bytesWritten int64
 	bytesRead    int64
 	shapeDelay   time.Duration // cumulative time spent pacing
+
+	// held is the message NextMsg has read off the stream and whose
+	// receive copy is still running on the task.
+	held heldMsg
+}
+
+// heldMsg is one NextMsg result waiting for its copy charge.
+type heldMsg struct {
+	ok   bool
+	n    units.ByteSize
+	obj  any
+	err  error
+	copy dsrt.Charge
 }
 
 // Wrap adorns an established connection.
@@ -88,14 +101,19 @@ func (io *IO) SetSockBufs(snd, rcv units.ByteSize) {
 	io.conn.SetRcvBuf(rcv)
 }
 
+// copyCost is the CPU time the copy of n bytes costs; zero when the
+// connection charges no task.
+func (io *IO) copyCost(n units.ByteSize) time.Duration {
+	if io.cfg.Task == nil || io.cfg.CopyCostPerKB <= 0 || n <= 0 {
+		return 0
+	}
+	return time.Duration(float64(io.cfg.CopyCostPerKB) * float64(n) / 1000)
+}
+
 // chargeCPU blocks the caller while the copy cost for n bytes is
 // scheduled on the task.
 func (io *IO) chargeCPU(ctx *sim.Ctx, n units.ByteSize) {
-	if io.cfg.Task == nil || io.cfg.CopyCostPerKB <= 0 || n <= 0 {
-		return
-	}
-	cost := time.Duration(float64(io.cfg.CopyCostPerKB) * float64(n) / 1000)
-	if cost > 0 {
+	if cost := io.copyCost(n); cost > 0 {
 		io.cfg.Task.Compute(ctx, cost)
 	}
 }
@@ -180,12 +198,37 @@ func (io *IO) ReadFull(ctx *sim.Ctx, n units.ByteSize) error {
 	return nil
 }
 
-// ReadMsg receives one marked message.
+// ReadMsg receives one marked message, charging CPU for the copy.
 func (io *IO) ReadMsg(ctx *sim.Ctx) (units.ByteSize, any, error) {
-	n, obj, err := io.conn.ReadMsg(ctx)
-	io.chargeCPU(ctx, n)
+	return tcpsim.AwaitMsg(ctx, io.NextMsg)
+}
+
+// NextMsg is ReadMsg's non-blocking step, safe to call from kernel
+// context, with tcpsim.Conn.NextMsg's three results. A message read
+// off the stream is held while its copy cost runs on the task, queued
+// behind the task's other work, and is handed over once the copy
+// finishes: until then the step returns the task's completion Cond.
+// A read error is charged for the bytes consumed before it, as a
+// message is.
+func (io *IO) NextMsg() (units.ByteSize, any, *sim.Cond, error) {
+	h := &io.held
+	if !h.ok {
+		n, obj, wait, err := io.conn.NextMsg()
+		if wait != nil {
+			return 0, nil, wait, nil
+		}
+		h.ok, h.n, h.obj, h.err = true, n, obj, err
+		if cost := io.copyCost(n); cost > 0 {
+			h.copy = io.cfg.Task.Start(cost)
+		}
+	}
+	if wait := h.copy.Pending(); wait != nil {
+		return 0, nil, wait, nil
+	}
+	n, obj, err := h.n, h.obj, h.err
+	*h = heldMsg{}
 	io.bytesRead += int64(n)
-	return n, obj, err
+	return n, obj, nil, err
 }
 
 // Drain blocks until all written data is acknowledged.

@@ -406,7 +406,7 @@ func (r *Rank) acceptLoop(actx *sim.Ctx, l *tcpsim.Listener) {
 			continue
 		}
 		peer := obj.(hello).from
-		r.registerConn(actx, peer, io)
+		r.registerConn(peer, io)
 	}
 }
 
@@ -436,7 +436,7 @@ func (r *Rank) dialPeer(ctx *sim.Ctx, peer int) bool {
 		}
 		panic(fmt.Sprintf("mpi: rank %d hello to %d: %v", r.id, peer, err))
 	}
-	r.registerConn(ctx, peer, io)
+	r.registerConn(peer, io)
 	return true
 }
 
@@ -462,12 +462,14 @@ func (r *Rank) applySockBuf(io *globusio.IO) {
 	}
 }
 
-// registerConn records the connection and starts its reader (the
-// progress engine for that peer). A rank has exactly one live
-// incarnation, so in a job that has seen restarts the newest
-// connection for a peer wins; in a restart-free job a duplicate is
-// still the wiring bug it always was.
-func (r *Rank) registerConn(ctx *sim.Ctx, peer int, io *globusio.IO) {
+// registerConn records the connection and starts its reader, the
+// progress engine for that peer: a process gated on progress, which
+// handles every message in kernel context and admits the process,
+// and so gives it a goroutine, only to run peerDown at teardown. A
+// rank has exactly one live incarnation, so in a job that has seen
+// restarts the newest connection for a peer wins; in a restart-free
+// job a duplicate is still the wiring bug it always was.
+func (r *Rank) registerConn(peer int, io *globusio.IO) {
 	if old := r.conns[peer]; old != nil {
 		if r.job.restarts == 0 {
 			panic(fmt.Sprintf("mpi: rank %d has duplicate connection to %d", r.id, peer))
@@ -477,8 +479,8 @@ func (r *Rank) registerConn(ctx *sim.Ctx, peer int, io *globusio.IO) {
 	delete(r.deadPeers, peer)
 	r.conns[peer] = io
 	r.wired.Broadcast()
-	ctx.SpawnChild(fmt.Sprintf("mpi-reader-%d<-%d", r.id, peer), func(rctx *sim.Ctx) {
-		r.readerLoop(rctx, peer, io)
+	r.job.k.SpawnWhen(fmt.Sprintf("mpi-reader-%d<-%d", r.id, peer), r.progress(io), func(*sim.Ctx) {
+		r.peerDown(peer, io)
 	})
 }
 

@@ -3,7 +3,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"io"
 	"slices"
 	"time"
 
@@ -164,45 +163,56 @@ func failList(list []*Request, err error, down func(peer int) bool) []*Request {
 	return kept
 }
 
-// readerLoop is the per-peer progress engine: it turns stream markers
-// into envelopes and drives the rendezvous protocol. When the peer's
-// connection shuts down (clean or not), pending operations on that
-// peer fail with ErrRankFinished rather than hanging.
-func (r *Rank) readerLoop(ctx *sim.Ctx, peer int, conn *globusio.IO) {
-	defer r.peerDown(peer, conn)
-	for {
-		_, obj, err := conn.ReadMsg(ctx)
-		if err != nil {
-			_ = io.EOF // clean and unclean shutdown treated alike
-			return
-		}
-		m, ok := obj.(wireMsg)
-		if !ok {
-			panic(fmt.Sprintf("mpi: rank %d got non-wire object %T", r.id, obj))
-		}
-		switch m.kind {
-		case kindEager:
-			r.deliver(&envelope{
-				src: m.src, ctx: m.ctx, tag: m.tag,
-				size: m.size, data: m.data, arrived: true, sentAt: m.sentAt,
-			})
-		case kindRTS:
-			r.deliver(&envelope{
-				src: m.src, ctx: m.ctx, tag: m.tag,
-				size: m.size, rdvSeq: m.seq, sentAt: m.sentAt,
-			})
-		case kindCTS:
-			for i, q := range r.awaitingCTS {
-				if q.seq == m.seq {
-					r.awaitingCTS = slices.Delete(r.awaitingCTS, i, i+1)
-					q.cts = true
-					q.cond.Broadcast()
-					break
-				}
+// progress is the gate of the per-peer progress engine. It runs in
+// kernel context at every wakeup of the connection's receive side,
+// reads each complete message off conn and handles it in place, and
+// admits the reader process, which only tears the peer down, once
+// the connection shuts down (clean and unclean shutdown alike).
+func (r *Rank) progress(conn *globusio.IO) sim.Gate {
+	return func() (*sim.Cond, time.Duration) {
+		for {
+			_, obj, wait, err := conn.NextMsg()
+			switch {
+			case wait != nil:
+				return wait, 0
+			case err != nil:
+				return nil, 0
 			}
-		case kindRdvData:
-			r.completeRdv(m)
+			r.handle(obj)
 		}
+	}
+}
+
+// handle dispatches one message from a peer: it turns eager frames
+// and RTS into envelopes, releases the send a CTS clears, and hands
+// rendezvous data to its receive.
+func (r *Rank) handle(obj any) {
+	m, ok := obj.(wireMsg)
+	if !ok {
+		panic(fmt.Sprintf("mpi: rank %d got non-wire object %T", r.id, obj))
+	}
+	switch m.kind {
+	case kindEager:
+		r.deliver(&envelope{
+			src: m.src, ctx: m.ctx, tag: m.tag,
+			size: m.size, data: m.data, arrived: true, sentAt: m.sentAt,
+		})
+	case kindRTS:
+		r.deliver(&envelope{
+			src: m.src, ctx: m.ctx, tag: m.tag,
+			size: m.size, rdvSeq: m.seq, sentAt: m.sentAt,
+		})
+	case kindCTS:
+		for i, q := range r.awaitingCTS {
+			if q.seq == m.seq {
+				r.awaitingCTS = slices.Delete(r.awaitingCTS, i, i+1)
+				q.cts = true
+				q.cond.Broadcast()
+				break
+			}
+		}
+	case kindRdvData:
+		r.completeRdv(m)
 	}
 }
 

@@ -27,7 +27,11 @@
 // admits it. Gates run on the kernel's goroutine, so they must not
 // block; their checks run at exactly the instants, priorities and
 // scheduling order of the Sleep and Cond wakeups they replace, so a
-// gated loop leaves the event schedule unchanged.
+// gated loop leaves the event schedule unchanged. A gate may also do
+// a process's whole steady-state work: each MPI connection's reader
+// reads and dispatches every message inside its gate, and is admitted,
+// and so gets a goroutine, only to tear the connection down.
+// Kernel.ProcSwitches counts the resumes that remain.
 //
 // The event queue is a 4-ary indexed heap over pooled event structs:
 // scheduling on the steady-state hot path performs no allocation (use
@@ -190,8 +194,11 @@ type Kernel struct {
 	stopped bool
 	err     error
 	ran     uint64
-	metrics *metrics.Registry
-	tracer  *spans.Tracer
+	// switches counts process resumes (calls to step that run a
+	// process), the unit of goroutine handoff cost.
+	switches uint64
+	metrics  *metrics.Registry
+	tracer   *spans.Tracer
 }
 
 // New returns a kernel with its clock at zero and a deterministic RNG
@@ -210,6 +217,11 @@ func (k *Kernel) Now() time.Duration { return k.now }
 // fluid-vs-packet validation ablation uses it to report how much event
 // volume the hybrid mode removes.
 func (k *Kernel) EventsRun() uint64 { return k.ran }
+
+// ProcSwitches returns the number of times the kernel has handed
+// control to a process: every start and every resume after a wait.
+// A gate check that does not admit its process is not a switch.
+func (k *Kernel) ProcSwitches() uint64 { return k.switches }
 
 // Metrics returns the kernel's metrics registry; every subsystem
 // built on this kernel registers its series and emits flight-recorder

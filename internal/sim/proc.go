@@ -114,6 +114,7 @@ func (k *Kernel) step(p *Proc) {
 	if p.done {
 		return
 	}
+	k.switches++
 	prev := k.cur
 	k.cur = p
 	p.blocked = false

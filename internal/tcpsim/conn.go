@@ -89,6 +89,7 @@ type Conn struct {
 	rttStart       time.Duration
 	sndCond        *sim.Cond
 	sndMarkers     []marker
+	fillWaits      []*fillWait // idle, for reuse by blocked writes
 	closeRequested bool
 	finSeq         int64 // stream position of FIN, -1 until Close
 	finAcked       bool
@@ -100,7 +101,8 @@ type Conn struct {
 	readPos    int64
 	rcvBufCap  units.ByteSize
 	ooo        []interval
-	rcvMarkers []marker // pending, ordered by stream position
+	rcvMarkers []marker       // pending, ordered by stream position
+	msgLen     units.ByteSize // bytes NextMsg consumed of the message in progress
 	rcvCond    *sim.Cond
 	peerFin    int64 // seq of peer's FIN, -1 if none
 	eof        bool
@@ -274,11 +276,8 @@ func (c *Conn) write(ctx *sim.Ctx, n units.ByteSize, obj any) error {
 	if n < 0 {
 		return fmt.Errorf("tcpsim: negative write length %d", n)
 	}
-	if c.state != stateEstablished || c.closeRequested {
-		if c.err != nil {
-			return c.err
-		}
-		return ErrClosed
+	if err := c.writeErr(); err != nil {
+		return err
 	}
 	if obj != nil {
 		// Register the marker before any byte of the message can be
@@ -286,27 +285,91 @@ func (c *Conn) write(ctx *sim.Ctx, n units.ByteSize, obj any) error {
 		// always carries the marker too.
 		c.sndMarkers = append(c.sndMarkers, marker{pos: c.sndBufEnd + int64(n), obj: obj})
 	}
-	remaining := n
+	remaining, wait, err := c.fill(n)
+	if wait != nil {
+		return c.awaitFill(ctx, remaining)
+	}
+	return err
+}
+
+// fillWait is the state of a write waiting for send-buffer space.
+// The connection keeps finished ones for reuse, with their gates bound
+// once, so a write that blocks allocates nothing in steady state.
+type fillWait struct {
+	c         *Conn
+	remaining units.ByteSize
+	err       error
+	gate      sim.Gate // check, bound once
+}
+
+func (w *fillWait) check() (*sim.Cond, time.Duration) {
+	var wait *sim.Cond
+	w.remaining, wait, w.err = w.c.fill(w.remaining)
+	return wait, 0
+}
+
+// awaitFill is write's wait for send-buffer space: the rest of the
+// write is filled in kernel context as acknowledgements free space.
+func (c *Conn) awaitFill(ctx *sim.Ctx, remaining units.ByteSize) error {
+	var w *fillWait
+	if n := len(c.fillWaits); n > 0 {
+		w = c.fillWaits[n-1]
+		c.fillWaits = c.fillWaits[:n-1]
+	} else {
+		w = &fillWait{c: c}
+		w.gate = w.check
+	}
+	w.remaining = remaining
+	ctx.Await(w.gate)
+	err := w.err
+	w.err = nil
+	c.fillWaits = append(c.fillWaits, w)
+	return err
+}
+
+// fill moves up to remaining bytes into the send buffer and starts
+// transmitting them. It returns the bytes still to go and either the
+// Cond to wait on for buffer space or the error that ends the write.
+func (c *Conn) fill(remaining units.ByteSize) (units.ByteSize, *sim.Cond, error) {
 	for remaining > 0 {
-		if c.state != stateEstablished || c.closeRequested {
-			if c.err != nil {
-				return c.err
-			}
-			return ErrClosed
+		if err := c.writeErr(); err != nil {
+			return remaining, nil, err
 		}
 		inBuf := units.ByteSize(c.sndBufEnd - maxI64(c.sndUna, 1))
 		space := c.sndBufCap - inBuf
 		if space <= 0 {
-			c.sndCond.Wait(ctx)
-			continue
+			return remaining, c.sndCond, nil
 		}
-		chunk := remaining
-		if chunk > space {
-			chunk = space
-		}
+		chunk := min(remaining, space)
 		c.sndBufEnd += int64(chunk)
 		remaining -= chunk
 		c.trySend()
+	}
+	return 0, nil, nil
+}
+
+// writeErr reports why the connection accepts no more data, or nil.
+func (c *Conn) writeErr() error {
+	if c.state == stateEstablished && !c.closeRequested {
+		return nil
+	}
+	if c.err != nil {
+		return c.err
+	}
+	return ErrClosed
+}
+
+// readErr reports why a read that finds no data will never find any:
+// the peer's FIN (io.EOF), a reset, or a closed connection. It is nil
+// while data may still arrive.
+func (c *Conn) readErr() error {
+	switch {
+	case c.eof:
+		return io.EOF
+	case c.err != nil:
+		return c.err
+	case c.state == stateClosed:
+		return ErrClosed
 	}
 	return nil
 }
@@ -318,26 +381,35 @@ func (c *Conn) Read(ctx *sim.Ctx, max units.ByteSize) (units.ByteSize, error) {
 	if max <= 0 {
 		return 0, fmt.Errorf("tcpsim: non-positive read size %d", max)
 	}
-	for {
-		if avail := units.ByteSize(c.dataLimit() - c.readPos); avail > 0 {
-			n := max
-			if n > avail {
-				n = avail
-			}
-			c.consume(int64(n))
-			return n, nil
-		}
-		if c.eof {
-			return 0, io.EOF
-		}
-		if c.err != nil {
-			return 0, c.err
-		}
-		if c.state == stateClosed {
-			return 0, ErrClosed
-		}
-		c.rcvCond.Wait(ctx)
+	n, wait, err := c.nextRead(max)
+	if wait == nil {
+		return n, err
 	}
+	return c.awaitRead(ctx, max)
+}
+
+// awaitRead is Read's wait for data, re-checked in kernel context.
+func (c *Conn) awaitRead(ctx *sim.Ctx, max units.ByteSize) (n units.ByteSize, err error) {
+	ctx.Await(func() (*sim.Cond, time.Duration) {
+		var wait *sim.Cond
+		n, wait, err = c.nextRead(max)
+		return wait, 0
+	})
+	return n, err
+}
+
+// nextRead is Read's non-blocking step: it consumes up to max
+// buffered bytes, or returns the read error, or rcvCond to wait on.
+func (c *Conn) nextRead(max units.ByteSize) (units.ByteSize, *sim.Cond, error) {
+	if avail := units.ByteSize(c.dataLimit() - c.readPos); avail > 0 {
+		n := min(max, avail)
+		c.consume(int64(n))
+		return n, nil, nil
+	}
+	if err := c.readErr(); err != nil {
+		return 0, nil, err
+	}
+	return 0, c.rcvCond, nil
 }
 
 // ReadFull blocks until exactly n bytes have been consumed.
@@ -354,43 +426,60 @@ func (c *Conn) ReadFull(ctx *sim.Ctx, n units.ByteSize) error {
 
 // ReadMsg blocks until the next marker is reached, consuming the
 // stream up to it, and returns the consumed byte count (the message
-// length) and the attached object. Data is consumed incrementally as
-// it arrives, so messages larger than the receive buffer flow through
-// without deadlock.
+// length) and the attached object. It waits in NextMsg steps, so
+// messages larger than the receive buffer flow through without
+// deadlock.
 func (c *Conn) ReadMsg(ctx *sim.Ctx) (units.ByteSize, any, error) {
-	var consumed units.ByteSize
+	return AwaitMsg(ctx, c.NextMsg)
+}
+
+// AwaitMsg blocks the calling process until step, a NextMsg-style
+// message step, yields a message or an error. Every check after the
+// first runs in kernel context, at the wakeup slot of the Cond the
+// step asked to wait on.
+func AwaitMsg(ctx *sim.Ctx, step func() (units.ByteSize, any, *sim.Cond, error)) (n units.ByteSize, obj any, err error) {
+	ctx.Await(func() (*sim.Cond, time.Duration) {
+		var wait *sim.Cond
+		n, obj, wait, err = step()
+		return wait, 0
+	})
+	return n, obj, err
+}
+
+// NextMsg is ReadMsg's non-blocking step, safe to call from kernel
+// context. It consumes the buffered stream up to the next marker,
+// counting the bytes on the connection, and returns one of three
+// results: the message's length and object once the marker is
+// reached; the read error (io.EOF, a reset or ErrClosed) with the
+// bytes consumed since the last message; or rcvCond, whose next
+// broadcast may let it make progress. Everything buffered before the
+// marker belongs to the current message (markers arrive with the
+// segment that ends the message, and the stream is in order), so it
+// is drained as it arrives to keep the window open.
+func (c *Conn) NextMsg() (n units.ByteSize, obj any, wait *sim.Cond, err error) {
 	for {
 		next, ok := c.nextMarker()
 		if ok && next.pos <= c.rcvNxt {
-			// Whole message available: consume through the marker.
-			consumed += units.ByteSize(next.pos - c.readPos)
+			c.msgLen += units.ByteSize(next.pos - c.readPos)
 			c.consume(next.pos - c.readPos)
 			c.rcvMarkers = slices.Delete(c.rcvMarkers, 0, 1)
-			return consumed, next.obj, nil
+			n, c.msgLen = c.msgLen, 0
+			return n, next.obj, nil, nil
 		}
-		// Marker not yet reached. Everything buffered belongs to the
-		// current message (markers arrive with the segment that ends
-		// the message, and the stream is in order), so drain it to
-		// keep the window open.
 		limit := c.dataLimit()
 		if ok && next.pos < limit {
 			limit = next.pos
 		}
-		if n := limit - c.readPos; n > 0 {
-			consumed += units.ByteSize(n)
-			c.consume(n)
+		if d := limit - c.readPos; d > 0 {
+			c.msgLen += units.ByteSize(d)
+			c.consume(d)
 			continue
 		}
-		if c.eof {
-			return consumed, nil, io.EOF
+		if err := c.readErr(); err != nil {
+			n, c.msgLen = c.msgLen, 0
+			return n, nil, nil, err
 		}
-		if c.err != nil {
-			return consumed, nil, c.err
-		}
-		if c.state == stateClosed {
-			return consumed, nil, ErrClosed
-		}
-		c.rcvCond.Wait(ctx)
+		return 0, nil, c.rcvCond, nil
 	}
 }
 
@@ -450,17 +539,27 @@ func (c *Conn) advertisedWnd() units.ByteSize {
 func (c *Conn) Buffered() units.ByteSize { return units.ByteSize(c.rcvNxt - c.readPos) }
 
 // Drain blocks until every written byte has been acknowledged.
-func (c *Conn) Drain(ctx *sim.Ctx) error {
-	for c.sndUna < c.sndBufEnd {
-		if c.err != nil {
-			return c.err
-		}
-		if c.state != stateEstablished {
-			return ErrClosed
-		}
-		c.sndCond.Wait(ctx)
+func (c *Conn) Drain(ctx *sim.Ctx) (err error) {
+	ctx.Await(func() (wait *sim.Cond, _ time.Duration) {
+		wait, err = c.drained()
+		return wait, 0
+	})
+	return err
+}
+
+// drained is Drain's step: nil results once every written byte is
+// acknowledged, the error once the connection can no longer drain,
+// or sndCond to wait on.
+func (c *Conn) drained() (*sim.Cond, error) {
+	switch {
+	case c.sndUna >= c.sndBufEnd:
+		return nil, nil
+	case c.err != nil:
+		return nil, c.err
+	case c.state != stateEstablished:
+		return nil, ErrClosed
 	}
-	return nil
+	return c.sndCond, nil
 }
 
 // Close initiates a graceful shutdown: queued data is delivered, then

@@ -44,9 +44,13 @@ type Options struct {
 	// MSS is the maximum segment (payload) size. Default 1460 bytes.
 	MSS units.ByteSize
 	// SndBuf is the send socket buffer size. Default 64 KB. The
-	// paper's §5.5 anecdote used 8 KB before tuning.
+	// paper's §5.5 anecdote used 8 KB before tuning. A size below
+	// MSS is raised to MSS, as Conn.SetSndBuf does.
 	SndBuf units.ByteSize
-	// RcvBuf is the receive socket buffer size. Default 64 KB.
+	// RcvBuf is the receive socket buffer size. Default 64 KB. A
+	// size below MSS is raised to MSS, as Conn.SetRcvBuf does: a
+	// window that can never reach one segment would never be
+	// reopened by a window update.
 	RcvBuf units.ByteSize
 	// InitialCwnd is the initial congestion window in segments.
 	// Default 2 (RFC 2581).
@@ -86,6 +90,8 @@ func (o Options) withDefaults() Options {
 	if o.RcvBuf == 0 {
 		o.RcvBuf = 64 * units.KB
 	}
+	o.SndBuf = max(o.SndBuf, o.MSS)
+	o.RcvBuf = max(o.RcvBuf, o.MSS)
 	if o.InitialCwndSegs == 0 {
 		o.InitialCwndSegs = 2
 	}
