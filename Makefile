@@ -83,12 +83,16 @@ bench-json:
 	cat $(BENCH_OUT)
 
 # Fast CI guard: the packet-forward hot path must stay at 0 allocs/op,
-# the kernel's pooled event path must stay allocation-free, and the
-# guard benchmarks — including the full fluid-mode Figure 5 macro run
-# — must not regress against the newest committed BENCH_PR<n>.json
-# trajectory.
+# the kernel's pooled event path must stay allocation-free, the exact
+# allocation pins must hold (a fresh kernel holds no span ring, a
+# snapshot sizes its lists once, an MPI round trip's malloc count),
+# and the guard benchmarks — including the full fluid-mode Figure 5
+# macro run — must not regress against the newest committed
+# BENCH_PR<n>.json trajectory. Allocation counts are the same on any
+# machine; the ns/op gate is not.
 bench-guard:
-	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/sim/ ./internal/netsim/
+	$(GO) test -run 'ZeroAlloc|HoldsNoSpanRing|AllocatedOnFirstCommit|TakeSnapshotAllocs|WriteJSONGolden|PingPongAllocsPerRoundTrip' \
+		-count=1 ./internal/sim/ ./internal/netsim/ ./internal/spans/ ./internal/metrics/ ./internal/mpi/
 	{ $(GO) test -bench 'BenchmarkKernelAfter$$|BenchmarkLinkForward' -benchmem -run xxx \
 		./internal/sim/ ./internal/netsim/ ; \
 	  $(GO) test -bench 'BenchmarkFigure5$$' -benchmem -benchtime=1x -run xxx -timeout 600s . ; } \

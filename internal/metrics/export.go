@@ -135,11 +135,18 @@ type Snapshot struct {
 	EventsOverwritten uint64           `json:"events_overwritten,omitempty"`
 }
 
-// TakeSnapshot captures the registry's current state.
+// TakeSnapshot captures the registry's current state. Both lists are
+// sized once, and events are converted straight out of the recorder's
+// ring; an empty list stays nil.
 func (r *Registry) TakeSnapshot() Snapshot {
 	s := Snapshot{TakenAtNs: int64(r.clock())}
-	for _, e := range r.entries() {
-		ms := MetricSnapshot{Name: e.name, Kind: e.kind.String()}
+	entries := r.entries()
+	if len(entries) > 0 {
+		s.Metrics = make([]MetricSnapshot, len(entries))
+	}
+	for i, e := range entries {
+		ms := &s.Metrics[i]
+		ms.Name, ms.Kind = e.name, e.kind.String()
 		if len(e.labels) > 0 {
 			ms.Labels = make(map[string]string, len(e.labels)/2)
 			for i := 0; i < len(e.labels); i += 2 {
@@ -157,15 +164,8 @@ func (r *Registry) TakeSnapshot() Snapshot {
 			ms.Counts, ms.Sum, ms.Count = e.hist.Snapshot()
 			ms.Buckets = e.hist.Bounds()
 		}
-		s.Metrics = append(s.Metrics, ms)
 	}
-	for _, ev := range r.events.Snapshot() {
-		s.Events = append(s.Events, EventSnapshot{
-			Seq: ev.Seq, AtNs: int64(ev.At), Type: ev.Type.String(),
-			Subject: ev.Subject, V1: ev.V1, V2: ev.V2, V3: ev.V3,
-		})
-	}
-	s.EventsOverwritten = r.events.Overwritten()
+	s.Events, s.EventsOverwritten = r.events.export()
 	return s
 }
 

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -174,5 +175,148 @@ func TestFilterEvents(t *testing.T) {
 	}
 	if got := FilterEvents(all, EventFilter{Last: 3}); len(got) != 3 || got[0].V1 != 7 {
 		t.Fatalf("last filter = %+v", got)
+	}
+}
+
+// goldenRegistry builds a registry with one series of every kind and a
+// flight recorder that has wrapped.
+func goldenRegistry() *Registry {
+	now := 1500 * time.Millisecond
+	r := New(testClock(&now))
+	r.Counter("pkts_total", "packets sent", "node", "a", "iface", "eth0").Add(42)
+	r.Gauge("util", "link utilization").Set(0.25)
+	r.GaugeFunc("depth", "queue depth", func() float64 { return 3 }, "q", "ef")
+	h := r.Histogram("lat_seconds", "latency", []float64{0.001, 0.01})
+	h.Observe(0.0005)
+	h.Observe(0.02)
+	rec := r.Events()
+	rec.SetCapacity(3)
+	for i := 0; i < 5; i++ {
+		now += time.Millisecond
+		rec.Emit(EvTCPSegment, "n1", int64(i), 1460, int64(i%2))
+	}
+	rec.Emit(EvNoRoute, "n2", 0, 0, 0)
+	return r
+}
+
+// TestWriteJSONGolden pins WriteJSON byte for byte, for an empty
+// registry and a populated one: field order, omitted zeros, the null
+// lists of an empty registry, and the retained tail of a wrapped
+// recorder.
+func TestWriteJSONGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		reg  *Registry
+		want string
+	}{
+		{"empty", New(nil), goldenEmptyJSON},
+		{"populated", goldenRegistry(), goldenPopulatedJSON},
+	} {
+		var b bytes.Buffer
+		if err := tc.reg.WriteJSON(&b); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := b.String(); got != tc.want {
+			t.Errorf("%s: WriteJSON =\n%s\nwant\n%s", tc.name, got, tc.want)
+		}
+	}
+}
+
+const goldenEmptyJSON = `{
+  "taken_at_ns": 0,
+  "metrics": null,
+  "events": null
+}
+`
+
+const goldenPopulatedJSON = `{
+  "taken_at_ns": 1505000000,
+  "metrics": [
+    {
+      "name": "pkts_total",
+      "kind": "counter",
+      "labels": {
+        "iface": "eth0",
+        "node": "a"
+      },
+      "value": 42
+    },
+    {
+      "name": "util",
+      "kind": "gauge",
+      "value": 0.25
+    },
+    {
+      "name": "depth",
+      "kind": "gauge",
+      "labels": {
+        "q": "ef"
+      },
+      "value": 3
+    },
+    {
+      "name": "lat_seconds",
+      "kind": "histogram",
+      "value": 0,
+      "buckets": [
+        0.001,
+        0.01
+      ],
+      "counts": [
+        1,
+        0,
+        1
+      ],
+      "sum": 0.0205,
+      "count": 2
+    }
+  ],
+  "events": [
+    {
+      "seq": 3,
+      "at_ns": 1504000000,
+      "type": "tcp-segment",
+      "subject": "n1",
+      "v1": 3,
+      "v2": 1460,
+      "v3": 1
+    },
+    {
+      "seq": 4,
+      "at_ns": 1505000000,
+      "type": "tcp-segment",
+      "subject": "n1",
+      "v1": 4,
+      "v2": 1460
+    },
+    {
+      "seq": 5,
+      "at_ns": 1505000000,
+      "type": "no-route",
+      "subject": "n2"
+    }
+  ],
+  "events_overwritten": 3
+}
+`
+
+// TestTakeSnapshotAllocs pins TakeSnapshot at one allocation per list
+// it returns, plus the copy of the registration list, however many
+// series and events there are: no intermediate event copy, no append
+// growth.
+func TestTakeSnapshotAllocs(t *testing.T) {
+	r := New(nil)
+	for i := 0; i < 100; i++ {
+		r.Counter(fmt.Sprintf("c%d", i), "").Inc()
+	}
+	rec := r.Events()
+	for i := 0; i < rec.Capacity()+10; i++ {
+		rec.Emit(EvTCPSegment, "n", int64(i), 0, 0)
+	}
+	if n := len(r.TakeSnapshot().Events); n != rec.Capacity() {
+		t.Fatalf("snapshot holds %d events, want %d", n, rec.Capacity())
+	}
+	if allocs := testing.AllocsPerRun(10, func() { r.TakeSnapshot() }); allocs != 3 {
+		t.Errorf("TakeSnapshot makes %.0f allocations, want 3", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -210,6 +211,29 @@ func TestRecorderWrapAndSince(t *testing.T) {
 	// Seq beyond the end returns nothing.
 	if got := rec.Since(100); len(got) != 0 {
 		t.Fatalf("since(100) len = %d", len(got))
+	}
+}
+
+// TestRecorderSinceMatchesSnapshot checks Since against a filter over
+// Snapshot on a wrapped ring, for a seq before the oldest retained
+// event, one inside the ring, and the next seq to be emitted.
+func TestRecorderSinceMatchesSnapshot(t *testing.T) {
+	now := time.Duration(0)
+	rec := newRecorder(testClock(&now), 5)
+	for i := 0; i < 13; i++ {
+		now += time.Millisecond
+		rec.Emit(EvTCPSegment, "s", int64(i), 0, 0)
+	}
+	for _, seq := range []uint64{0, rec.Overwritten() - 1, rec.Overwritten(), 10, rec.Seq()} {
+		var want []Event
+		for _, e := range rec.Snapshot() {
+			if e.Seq >= seq {
+				want = append(want, e)
+			}
+		}
+		if got := rec.Since(seq); !slices.Equal(got, want) {
+			t.Errorf("Since(%d) = %+v, want %+v", seq, got, want)
+		}
 	}
 }
 

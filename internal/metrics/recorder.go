@@ -288,9 +288,35 @@ func (r *Recorder) Snapshot() []Event {
 func (r *Recorder) Since(seq uint64) []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	all := r.retained()
-	i := sortSearchEvents(all, seq)
-	return all[i:]
+	from := max(seq, r.first)
+	if from >= r.next {
+		return nil
+	}
+	out := make([]Event, r.next-from)
+	for i := range out {
+		out[i] = r.buf[(from+uint64(i))%uint64(len(r.buf))]
+	}
+	return out
+}
+
+// export converts the retained events, oldest first, to their snapshot
+// form in one pass, and returns them (nil when none are retained) with
+// the count wraparound has evicted.
+func (r *Recorder) export() ([]EventSnapshot, uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.next == r.first {
+		return nil, r.first
+	}
+	out := make([]EventSnapshot, r.next-r.first)
+	for i := range out {
+		ev := &r.buf[(r.first+uint64(i))%uint64(len(r.buf))]
+		out[i] = EventSnapshot{
+			Seq: ev.Seq, AtNs: int64(ev.At), Type: ev.Type.String(),
+			Subject: ev.Subject, V1: ev.V1, V2: ev.V2, V3: ev.V3,
+		}
+	}
+	return out, r.first
 }
 
 // EventFilter selects flight-recorder events for tail-style queries
@@ -326,19 +352,4 @@ func FilterEvents(events []Event, f EventFilter) []Event {
 		out = out[len(out)-f.Last:]
 	}
 	return out
-}
-
-// sortSearchEvents finds the first index with Seq >= seq (events are
-// seq-ordered).
-func sortSearchEvents(evs []Event, seq uint64) int {
-	lo, hi := 0, len(evs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if evs[mid].Seq < seq {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

@@ -154,7 +154,7 @@ func failList(list []*Request, err error, down func(peer int) bool) []*Request {
 	kept := list[:0]
 	for _, q := range list {
 		if down(q.peer) {
-			q.complete(nil, err)
+			q.complete(err)
 			continue
 		}
 		kept = append(kept, q)
@@ -193,12 +193,12 @@ func (r *Rank) handle(obj any) {
 	}
 	switch m.kind {
 	case kindEager:
-		r.deliver(&envelope{
+		r.deliver(envelope{
 			src: m.src, ctx: m.ctx, tag: m.tag,
 			size: m.size, data: m.data, arrived: true, sentAt: m.sentAt,
 		})
 	case kindRTS:
-		r.deliver(&envelope{
+		r.deliver(envelope{
 			src: m.src, ctx: m.ctx, tag: m.tag,
 			size: m.size, rdvSeq: m.seq, sentAt: m.sentAt,
 		})
@@ -218,22 +218,26 @@ func (r *Rank) handle(obj any) {
 
 // deliver matches an incoming envelope against the posted receives, in
 // posting order, or queues it as unexpected. A receive matched by an
-// RTS stays posted until its data arrives.
-func (r *Rank) deliver(env *envelope) {
+// RTS stays posted until its data arrives. env moves to the heap only
+// when it is kept: queued as unexpected, or held by the receive an RTS
+// matched.
+func (r *Rank) deliver(env envelope) {
 	for i, q := range r.posted {
-		if !q.matches(env) {
+		if !q.matches(&env) {
 			continue
 		}
 		if env.arrived {
 			r.posted = slices.Delete(r.posted, i, i+1)
-			r.completeRecv(q, env)
+			r.completeRecv(q, &env)
 		} else {
-			q.env, q.peer = env, env.src
-			r.sendCTS(env)
+			kept := env
+			q.env, q.peer = &kept, kept.src
+			r.sendCTS(&kept)
 		}
 		return
 	}
-	r.unexpected = append(r.unexpected, env)
+	kept := env
+	r.unexpected = append(r.unexpected, &kept)
 }
 
 // sendCTS sends clear-to-send for a matched RTS envelope.
@@ -275,12 +279,13 @@ func (r *Rank) completeRdv(m wireMsg) {
 // delivery.
 func (r *Rank) completeRecv(q *Request, env *envelope) {
 	r.observeRecv(q.comm.ctxID, env)
-	q.complete(&Message{
+	q.msg = Message{
 		Src:  q.comm.localRank(env.src),
 		Tag:  env.tag,
 		Len:  env.size,
 		Data: env.data,
-	}, nil)
+	}
+	q.complete(nil)
 }
 
 // Send transmits n bytes with data attached to (dest, tag) on comm,
@@ -349,7 +354,7 @@ func (r *Rank) announce(ctx *sim.Ctx, q *Request, comm *Comm, gdest, tag int, n 
 		// Self-send: deliver directly.
 		cm.sentMsgs.Inc()
 		cm.sentBytes.Add(int64(n))
-		r.deliver(&envelope{src: r.id, ctx: comm.ctxID, tag: tag, size: n, data: data, arrived: true, sentAt: now})
+		r.deliver(envelope{src: r.id, ctx: comm.ctxID, tag: tag, size: n, data: data, arrived: true, sentAt: now})
 		return q, nil, nil
 	}
 	conn := r.conns[gdest]
@@ -386,7 +391,7 @@ func (r *Rank) announce(ctx *sim.Ctx, q *Request, comm *Comm, gdest, tag int, n 
 	}
 	// Rendezvous: RTS now; the caller waits for CTS, then sends the data.
 	if q == nil {
-		q = &Request{rank: r, peer: gdest, cond: sim.NewCond(r.job.k)}
+		q = &Request{rank: r, peer: gdest, cond: sim.MakeCond(r.job.k)}
 	}
 	r.nextRdvSeq++
 	q.seq = r.nextRdvSeq
@@ -423,7 +428,7 @@ func (r *Rank) Recv(ctx *sim.Ctx, comm *Comm, src, tag int) (*Message, error) {
 	if err := q.Wait(ctx); err != nil {
 		return nil, err
 	}
-	return q.msg, nil
+	return &q.msg, nil
 }
 
 // observeRecv records delivery metrics: per-communicator message and

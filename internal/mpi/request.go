@@ -15,12 +15,15 @@ import (
 // awaitingCTS list from its RTS until the clear-to-send arrives or it
 // fails. Both lists keep posting order: deliver matches in that order,
 // and a peer failure completes the operations in that order.
+//
+// The Cond and a receive's Message live inside the Request, so an
+// eager receive costs one allocation. A Request must not be copied.
 type Request struct {
 	rank *Rank
 	done bool
 	err  error
-	msg  *Message // for receives
-	cond *sim.Cond
+	msg  Message // a receive's message, once it completes without error
+	cond sim.Cond
 
 	// peer is the world rank the operation waits on: a send's
 	// destination, or a receive's source (AnySource until an RTS
@@ -49,16 +52,22 @@ func (q *Request) Wait(ctx *sim.Ctx) error {
 	return q.rank.handleErr(q.err)
 }
 
-// Message returns the received message after Wait on an Irecv request.
-func (q *Request) Message() *Message { return q.msg }
+// Message returns the received message after Wait on an Irecv
+// request, or nil if the request is a send, has not completed, or
+// failed.
+func (q *Request) Message() *Message {
+	if q.comm == nil || !q.done || q.err != nil {
+		return nil
+	}
+	return &q.msg
+}
 
 // complete finishes q once; a later call, such as an Isend helper's
 // after a failure sweep got there first, is a no-op.
-func (q *Request) complete(msg *Message, err error) {
+func (q *Request) complete(err error) {
 	if q.done {
 		return
 	}
-	q.msg = msg
 	q.err = err
 	q.done = true
 	q.cond.Broadcast()
@@ -80,10 +89,10 @@ func (r *Rank) Isend(ctx *sim.Ctx, comm *Comm, dest, tag int, n units.ByteSize, 
 	if err != nil {
 		return nil, err
 	}
-	q := &Request{rank: r, peer: gdest, cond: sim.NewCond(r.job.k)}
+	q := &Request{rank: r, peer: gdest, cond: sim.MakeCond(r.job.k)}
 	turn := &r.turns[gdest]
 	r.job.k.SpawnWhen(fmt.Sprintf("mpi-isend-%d", r.id), turn.gate(turn.take()), func(sctx *sim.Ctx) {
-		q.complete(nil, r.send(sctx, q, comm, gdest, tag, n, data))
+		q.complete(r.send(sctx, q, comm, gdest, tag, n, data))
 	})
 	return q, nil
 }
@@ -99,9 +108,9 @@ func (r *Rank) Irecv(ctx *sim.Ctx, comm *Comm, src, tag int) (*Request, error) {
 			return nil, err
 		}
 	}
-	q := &Request{rank: r, peer: gsrc, comm: comm, tag: tag, cond: sim.NewCond(r.job.k)}
+	q := &Request{rank: r, peer: gsrc, comm: comm, tag: tag, cond: sim.MakeCond(r.job.k)}
 	if r.crashed {
-		q.complete(nil, &RankFailedError{Rank: r.id})
+		q.complete(&RankFailedError{Rank: r.id})
 		return q, nil
 	}
 	for i, e := range r.unexpected {
@@ -115,7 +124,7 @@ func (r *Rank) Irecv(ctx *sim.Ctx, comm *Comm, src, tag int) (*Request, error) {
 		}
 		r.sendCTS(e)
 		if e.err != nil {
-			q.complete(nil, e.err)
+			q.complete(e.err)
 			return q, nil
 		}
 		q.env, q.peer = e, e.src
@@ -123,7 +132,7 @@ func (r *Rank) Irecv(ctx *sim.Ctx, comm *Comm, src, tag int) (*Request, error) {
 		return q, nil
 	}
 	if err := r.recvFailure(comm, gsrc); err != nil {
-		q.complete(nil, err)
+		q.complete(err)
 		return q, nil
 	}
 	r.posted = append(r.posted, q)

@@ -53,6 +53,11 @@ type Iface struct {
 
 	// busy accumulates serialization time for the utilization gauge.
 	busy time.Duration
+	// txSize and txTime memoize the serialization time of the last
+	// packet size sent; the link rate never changes. The zero value,
+	// (0, 0), is already correct.
+	txSize units.ByteSize
+	txTime time.Duration
 
 	// label is the interned "node[link]" string used for metric
 	// labels and event subjects.
@@ -172,9 +177,11 @@ func (i *Iface) tryTransmit() {
 		return
 	}
 	i.transmitting = true
-	txTime := i.link.rate.TimeToSend(p.Size)
-	i.busy += txTime
-	k.AtFunc(k.Now()+txTime, sim.PrioNet, ifaceTxDone, i, p)
+	if p.Size != i.txSize {
+		i.txSize, i.txTime = p.Size, i.link.rate.TimeToSend(p.Size)
+	}
+	i.busy += i.txTime
+	k.AtFunc(k.Now()+i.txTime, sim.PrioNet, ifaceTxDone, i, p)
 }
 
 // ifaceTxDone finishes serializing p on interface a0 and starts the

@@ -12,13 +12,20 @@ import "time"
 // state may change between the Signal and the wakeup event running.
 // Ctx.Await moves that re-check into the kernel: a gated waiter's
 // wakeup event runs its gate and resumes the process only on success.
+//
+// A Cond may be embedded by value (see MakeCond), but must not be
+// copied after its first Wait: the queue's first backing array is the
+// Cond's own inline slot.
 type Cond struct {
 	k *Kernel
 	// waiters[head:] is the FIFO queue. Signal advances head instead
 	// of re-slicing, and the backing array is reused once the queue
-	// drains, so wait/wake cycles do not reallocate it.
+	// drains, so wait/wake cycles do not reallocate it. The queue
+	// starts in the inline slot, so a Cond that never has two waiters
+	// at once never allocates one.
 	waiters []*Proc
 	head    int
+	inline  [1]*Proc
 }
 
 // condWaiter is the wait state a Proc embeds: the gate a gated wait
@@ -32,6 +39,11 @@ type condWaiter struct {
 
 // NewCond returns a Cond bound to kernel k.
 func NewCond(k *Kernel) *Cond { return &Cond{k: k} }
+
+// MakeCond returns a Cond bound to kernel k, for embedding by value in
+// a struct that waits on it, so the Cond costs no allocation of its
+// own.
+func MakeCond(k *Kernel) Cond { return Cond{k: k} }
 
 // Wait blocks the calling process until Signal or Broadcast wakes it.
 func (c *Cond) Wait(ctx *Ctx) {
@@ -98,16 +110,26 @@ func (c *Cond) Broadcast() {
 // Waiting returns the number of processes currently blocked on c.
 func (c *Cond) Waiting() int { return len(c.waiters) - c.head }
 
-// enqueue appends p to the wait queue. When the backing array is full
-// and at least half of it is the consumed prefix, the live queue is
-// moved to the front instead of growing the array.
+// enqueue appends p to the wait queue. The first waiter goes into the
+// inline slot. When the backing array is full and at least half of it
+// is the consumed prefix, the live queue is moved to the front instead
+// of growing the array.
 func (c *Cond) enqueue(p *Proc) {
+	if c.waiters == nil {
+		c.waiters = c.inline[:0]
+	}
 	if n := len(c.waiters); n == cap(c.waiters) && c.head > 0 && 2*c.head >= n {
 		m := copy(c.waiters, c.waiters[c.head:])
 		clear(c.waiters[m:])
 		c.waiters, c.head = c.waiters[:m], 0
 	}
+	grow := len(c.waiters) == cap(c.waiters)
 	c.waiters = append(c.waiters, p)
+	if grow {
+		// The queue has moved to a larger array for good; drop the
+		// inline slot's stale reference.
+		c.inline[0] = nil
+	}
 }
 
 func (c *Cond) remove(p *Proc) {

@@ -234,6 +234,71 @@ func TestCondQueueKeepsFIFOAcrossCompaction(t *testing.T) {
 	}
 }
 
+// TestCondFIFOFromInlineSlot follows an embedded Cond's queue from its
+// inline one-waiter slot into a grown array and through compaction,
+// checking that waiters wake in arrival order at every stage and that
+// the outgrown inline slot keeps no reference.
+func TestCondFIFOFromInlineSlot(t *testing.T) {
+	k := New(1)
+	holder := &struct{ cond Cond }{cond: MakeCond(k)}
+	c := &holder.cond
+	var woken []int
+	next := 0
+	spawn := func() {
+		i := next
+		next++
+		k.Spawn(fmt.Sprint(i), func(ctx *Ctx) {
+			c.Wait(ctx)
+			woken = append(woken, i)
+		})
+		if err := k.RunFor(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wake := func() {
+		c.Signal()
+		if err := k.RunFor(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inInline := func() bool { return cap(c.waiters) > 0 && &c.waiters[:1][0] == &c.inline[0] }
+
+	// One waiter at a time stays in the inline slot.
+	for i := 0; i < 3; i++ {
+		spawn()
+		if !inInline() {
+			t.Fatalf("single waiter %d not in the inline slot (cap %d)", i, cap(c.waiters))
+		}
+		wake()
+	}
+	// A second waiter grows the queue out of the slot.
+	spawn()
+	spawn()
+	if inInline() || c.inline[0] != nil {
+		t.Fatalf("two waiters: queue still inline or slot holds %v", c.inline[0])
+	}
+	// Keep the queue from draining so enqueue compacts.
+	for round := 0; round < 40; round++ {
+		wake()
+		spawn()
+	}
+	if n := cap(c.waiters); n > 8 {
+		t.Fatalf("queue of 2 waiters holds an array of %d", n)
+	}
+	c.Broadcast()
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(woken) != next {
+		t.Fatalf("woke %d of %d waiters", len(woken), next)
+	}
+	for i, w := range woken {
+		if w != i {
+			t.Fatalf("wake order %v, want 0..%d in order", woken, next-1)
+		}
+	}
+}
+
 // TestAwaitChecksInKernel pins that an Await whose gate fails N times
 // resumes its process exactly once: the first check runs in the
 // process, every later one in kernel context, and Await returns at the

@@ -6,6 +6,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
+
+	"mpichgq/internal/metrics"
+	"mpichgq/internal/spans"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -411,5 +415,30 @@ func TestDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("runs diverge at %d: %v vs %v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestNewKernelHoldsNoSpanRing pins what a fresh kernel costs with
+// tracing off: its flight recorder's ring and small change, but no span
+// ring, even after disabled spans begin and end. The span ring alone
+// would be about 1 MiB.
+func TestNewKernelHoldsNoSpanRing(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	k := New(1)
+	k.Tracer().Begin(1, 0, "op", "subject").End()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(k)
+
+	recorder := uint64(metrics.DefaultRecorderCapacity) * uint64(unsafe.Sizeof(metrics.Event{}))
+	spanRing := uint64(spans.DefaultCapacity) * uint64(unsafe.Sizeof(spans.Span{}))
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("sim.New: %d bytes (recorder ring %d, span ring %d)", got, recorder, spanRing)
+	if got >= recorder+spanRing/4 {
+		t.Errorf("sim.New allocates %d bytes, want under %d: a span ring is allocated", got, recorder+spanRing/4)
+	}
+	if c := k.Tracer().Capacity(); c != spans.DefaultCapacity {
+		t.Errorf("tracer Capacity = %d, want %d", c, spans.DefaultCapacity)
 	}
 }

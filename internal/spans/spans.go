@@ -21,7 +21,8 @@
 // Completed spans land in a fixed-capacity ring (oldest evicted
 // first, Dropped reports how many) that concurrent readers — the gqd
 // daemon's HTTP handlers — may Snapshot or Query while the simulation
-// is still running.
+// is still running. The ring is allocated on the first commit, so a
+// kernel that never traces pays nothing for it.
 //
 // The package depends only on the standard library and holds no
 // global state.
@@ -300,10 +301,13 @@ type Tracer struct {
 
 	mu     sync.Mutex
 	nextID SpanID
-	buf    []Span
-	next   uint64 // total spans ever committed
-	first  uint64 // index of the oldest retained span
-	active int
+	// buf is the ring, nil until the first commit; capacity is its
+	// size then.
+	buf      []Span
+	capacity int
+	next     uint64 // total spans ever committed
+	first    uint64 // index of the oldest retained span
+	active   int
 }
 
 // New creates a disabled tracer. clock supplies timestamps — pass the
@@ -312,7 +316,7 @@ func New(clock func() time.Duration) *Tracer {
 	if clock == nil {
 		clock = func() time.Duration { return 0 }
 	}
-	return &Tracer{clock: clock, buf: make([]Span, DefaultCapacity)}
+	return &Tracer{clock: clock, capacity: DefaultCapacity}
 }
 
 // SetEnabled turns tracing on or off. Enable before the run starts;
@@ -343,6 +347,9 @@ func (t *Tracer) Begin(trace TraceID, parent SpanID, name, subject string) *Span
 // commit moves an ended span into the ring.
 func (t *Tracer) commit(s *Span) {
 	t.mu.Lock()
+	if t.buf == nil {
+		t.buf = make([]Span, t.capacity)
+	}
 	if t.next-t.first == uint64(len(t.buf)) {
 		t.first++ // evict the oldest
 	}
@@ -379,7 +386,7 @@ func (t *Tracer) Dropped() uint64 {
 func (t *Tracer) Capacity() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.buf)
+	return t.capacity
 }
 
 // SetCapacity resizes the ring, retaining the most recent spans.
@@ -389,6 +396,10 @@ func (t *Tracer) SetCapacity(n int) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.capacity = n
+	if t.buf == nil {
+		return
+	}
 	old := t.retained()
 	t.buf = make([]Span, n)
 	if len(old) > n {

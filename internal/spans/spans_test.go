@@ -49,6 +49,43 @@ func TestDisabledTracerIsInert(t *testing.T) {
 	}
 }
 
+// TestRingAllocatedOnFirstCommit pins that a tracer holds no ring until
+// a span ends: a disabled tracer never allocates one, Capacity reports
+// the size the ring will have, and a SetCapacity before the first span
+// sizes it.
+func TestRingAllocatedOnFirstCommit(t *testing.T) {
+	tr := New(nil)
+	tr.Begin(1, 0, "op", "s").End()
+	if tr.buf != nil {
+		t.Fatalf("disabled tracer holds a ring of %d", len(tr.buf))
+	}
+	if got := tr.Capacity(); got != DefaultCapacity {
+		t.Fatalf("Capacity = %d, want %d", got, DefaultCapacity)
+	}
+	if got := tr.Snapshot(); len(got) != 0 {
+		t.Fatalf("Snapshot of an empty tracer = %v", got)
+	}
+	tr.SetCapacity(3)
+	if tr.buf != nil || tr.Capacity() != 3 {
+		t.Fatalf("SetCapacity before the first span: ring %d, Capacity %d", len(tr.buf), tr.Capacity())
+	}
+	tr.SetEnabled(true)
+	sp := tr.Begin(1, 0, "op", "s")
+	if tr.buf != nil {
+		t.Fatal("Begin allocated the ring before any span ended")
+	}
+	sp.End()
+	if len(tr.buf) != 3 {
+		t.Fatalf("ring after the first commit = %d, want 3", len(tr.buf))
+	}
+	for i := 0; i < 4; i++ {
+		tr.Begin(1, 0, "op", "s").End()
+	}
+	if tr.Len() != 3 || tr.Dropped() != 2 {
+		t.Fatalf("Len %d Dropped %d, want 3 and 2", tr.Len(), tr.Dropped())
+	}
+}
+
 func TestBeginEndLifecycle(t *testing.T) {
 	tr, clk := newTestTracer()
 	clk.now = 10 * time.Millisecond

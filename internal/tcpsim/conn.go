@@ -603,7 +603,7 @@ func (c *Conn) destroy(err error) {
 	c.rtxTimer.Cancel()
 	c.delack.Cancel()
 	c.persistTimer.Cancel()
-	delete(c.stack.conns, connKey{localPort: c.lport, remoteAddr: c.raddr, remotePort: c.rport})
+	delete(c.stack.conns, makeConnKey(c.lport, c.raddr, c.rport))
 	c.established.Broadcast()
 	c.sndCond.Broadcast()
 	c.rcvCond.Broadcast()

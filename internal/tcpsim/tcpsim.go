@@ -116,11 +116,17 @@ func DefaultOptions() Options {
 	return o.withDefaults()
 }
 
-type connKey struct {
-	localPort  netsim.Port
-	remoteAddr netsim.Addr
-	remotePort netsim.Port
+// connKey packs a connection's demultiplexing tuple — local port,
+// remote address, remote port — into one word, so the per-segment
+// lookup hashes a single uint64.
+type connKey uint64
+
+func makeConnKey(lport netsim.Port, raddr netsim.Addr, rport netsim.Port) connKey {
+	return connKey(uint64(lport)<<48 | uint64(raddr)<<16 | uint64(rport))
 }
+
+// localPort returns the key's local port.
+func (k connKey) localPort() netsim.Port { return netsim.Port(k >> 48) }
 
 // Stack is the TCP transport instance on one node.
 type Stack struct {
@@ -232,7 +238,7 @@ func (s *Stack) allocPort() netsim.Port {
 		}
 		inUse := false
 		for k := range s.conns {
-			if k.localPort == p {
+			if k.localPort() == p {
 				inUse = true
 				break
 			}
@@ -244,21 +250,19 @@ func (s *Stack) allocPort() netsim.Port {
 }
 
 // HandlePacket implements netsim.Handler: demultiplex to an existing
-// connection, a listener (SYN), or answer with RST.
+// connection, a listener (SYN), or answer with RST. The listeners are
+// consulted only for a segment no connection takes.
 func (s *Stack) HandlePacket(p *netsim.Packet) {
 	seg, ok := p.Payload.(*segment)
 	if !ok {
 		return
 	}
-	key := connKey{localPort: p.DstPort, remoteAddr: p.Src, remotePort: p.SrcPort}
-	l := s.listeners[p.DstPort]
-	isSyn := seg.flags&flagSYN != 0 && seg.flags&flagACK == 0
-	switch {
-	case s.conns[key] != nil:
-		s.conns[key].handleSegment(seg, p)
-	case isSyn && l != nil && !l.closed:
+	if c := s.conns[makeConnKey(p.DstPort, p.Src, p.SrcPort)]; c != nil {
+		c.handleSegment(seg, p)
+	} else if l := s.listeners[p.DstPort]; l != nil && !l.closed &&
+		seg.flags&flagSYN != 0 && seg.flags&flagACK == 0 {
 		l.handleSyn(seg, p)
-	case seg.flags&flagRST == 0:
+	} else if seg.flags&flagRST == 0 {
 		s.sendRST(p)
 	}
 	// Segment handling is synchronous and copies everything it keeps,
@@ -294,7 +298,7 @@ func (s *Stack) DialFrom(ctx *sim.Ctx, lport netsim.Port, raddr netsim.Addr, rpo
 	if lport == 0 {
 		lport = s.allocPort()
 	}
-	key := connKey{localPort: lport, remoteAddr: raddr, remotePort: rport}
+	key := makeConnKey(lport, raddr, rport)
 	if s.conns[key] != nil {
 		return nil, ErrPortInUse
 	}
@@ -382,14 +386,12 @@ func (l *Listener) Close() {
 }
 
 // handleSyn creates a half-open connection and replies SYN|ACK.
+// HandlePacket calls it only for a SYN no connection takes, so a
+// duplicate SYN reaches the connection instead.
 func (l *Listener) handleSyn(seg *segment, p *netsim.Packet) {
 	s := l.stack
-	key := connKey{localPort: p.DstPort, remoteAddr: p.Src, remotePort: p.SrcPort}
-	if s.conns[key] != nil {
-		return // duplicate SYN; conn will handle retransmit
-	}
 	c := newConn(s, p.DstPort, p.Src, p.SrcPort)
-	s.conns[key] = c
+	s.conns[makeConnKey(p.DstPort, p.Src, p.SrcPort)] = c
 	c.listener = l
 	c.state = stateSynRcvd
 	c.connect = c.tr.Begin(c.trace, 0, "tcp.accept", s.m.nodeName)
