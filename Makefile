@@ -12,7 +12,8 @@ build:
 vet:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/metrics/... ./internal/sim/...
-	$(GO) test -race -short ./internal/netsim/... ./internal/tcpsim/... ./internal/ctrlplane/...
+	$(GO) test -race -short ./internal/netsim/... ./internal/tcpsim/... ./internal/ctrlplane/... \
+		./internal/globusio/... ./internal/mpi/...
 
 # Unformatted files (gofmt -l) fail the gate. Then the custom analyzer
 # suite (internal/analysis, driven by cmd/gqlint): determinism,

@@ -15,9 +15,14 @@
 //     smooths application bursts before they reach the edge router's
 //     policer — the alternative approach §5.4 proposes for dealing
 //     with burstiness.
+//
+// Every write on a connection, blocking (WriteMsg) or posted from
+// kernel context (Post), goes through the connection's one ordered
+// send queue, which orders, charges and paces it.
 package globusio
 
 import (
+	"slices"
 	"time"
 
 	"mpichgq/internal/dsrt"
@@ -44,19 +49,18 @@ type Config struct {
 	CopyCostPerKB time.Duration
 	// Shaper enables end-system pacing when non-nil.
 	Shaper *ShaperConfig
-	// WriteChunk is the granularity of socket writes (and of CPU
-	// charging). Default 64 KB.
-	WriteChunk units.ByteSize
 }
 
+// writeChunk is the granularity of socket writes, and so of CPU
+// charging and pacing.
+const writeChunk = 64 * units.KB
+
 // IO is a QoS-aware socket: a tcpsim.Conn plus CPU accounting and
-// optional pacing. Whole messages are written atomically: concurrent
-// writers (e.g. nonblocking MPI sends) are serialized per connection.
+// optional pacing, with one ordered send queue for all its writes.
 type IO struct {
-	conn    *tcpsim.Conn
-	k       *sim.Kernel
-	cfg     Config
-	writeMu *sim.Mutex
+	conn *tcpsim.Conn
+	k    *sim.Kernel
+	cfg  Config
 
 	// Shaper state (token bucket in bytes).
 	tokens     float64
@@ -65,6 +69,14 @@ type IO struct {
 	bytesWritten int64
 	bytesRead    int64
 	shapeDelay   time.Duration // cumulative time spent pacing
+
+	// The send queue, in posting order: queue[0] is being written.
+	// The writer drives posted writes; turn wakes a process in WriteMsg
+	// whose write reaches the head. free keeps writes for reuse.
+	queue  []*write
+	free   []*write
+	writer *sim.Waiter
+	turn   *sim.Cond
 
 	// held is the message NextMsg has read off the stream and whose
 	// receive copy is still running on the task.
@@ -82,13 +94,12 @@ type heldMsg struct {
 
 // Wrap adorns an established connection.
 func Wrap(k *sim.Kernel, conn *tcpsim.Conn, cfg Config) *IO {
-	if cfg.WriteChunk <= 0 {
-		cfg.WriteChunk = 64 * units.KB
-	}
-	io := &IO{conn: conn, k: k, cfg: cfg, writeMu: sim.NewMutex(k), lastRefill: k.Now()}
+	io := &IO{conn: conn, k: k, cfg: cfg, lastRefill: k.Now()}
 	if cfg.Shaper != nil {
 		io.tokens = float64(cfg.Shaper.Depth)
 	}
+	io.writer = sim.NewWaiter(k, func() (*sim.Cond, time.Duration) { return io.queue[0].advance() })
+	io.turn = sim.NewCond(k)
 	return io
 }
 
@@ -110,19 +121,13 @@ func (io *IO) copyCost(n units.ByteSize) time.Duration {
 	return time.Duration(float64(io.cfg.CopyCostPerKB) * float64(n) / 1000)
 }
 
-// chargeCPU blocks the caller while the copy cost for n bytes is
-// scheduled on the task.
-func (io *IO) chargeCPU(ctx *sim.Ctx, n units.ByteSize) {
-	if cost := io.copyCost(n); cost > 0 {
-		io.cfg.Task.Compute(ctx, cost)
-	}
-}
-
-// pace blocks until the shaper admits n bytes.
-func (io *IO) pace(ctx *sim.Ctx, n units.ByteSize) {
+// pace refills the shaper's bucket and takes n bytes' worth of tokens.
+// If the bucket holds too few, it takes nothing and returns how long
+// the write must wait; paced then takes the tokens.
+func (io *IO) pace(n units.ByteSize) time.Duration {
 	sh := io.cfg.Shaper
 	if sh == nil || sh.Rate <= 0 {
-		return
+		return 0
 	}
 	now := io.k.Now()
 	io.tokens += float64(sh.Rate) * (now - io.lastRefill).Seconds() / 8
@@ -131,71 +136,171 @@ func (io *IO) pace(ctx *sim.Ctx, n units.ByteSize) {
 	}
 	io.lastRefill = now
 	if deficit := float64(n) - io.tokens; deficit > 0 {
-		wait := time.Duration(deficit * 8 / float64(sh.Rate) * float64(time.Second))
-		io.shapeDelay += wait
-		ctx.Sleep(wait)
-		io.tokens += float64(sh.Rate) * (io.k.Now() - io.lastRefill).Seconds() / 8
-		io.lastRefill = io.k.Now()
+		if wait := time.Duration(deficit * 8 / float64(sh.Rate) * float64(time.Second)); wait > 0 {
+			io.shapeDelay += wait
+			return wait
+		}
 	}
+	io.tokens -= float64(n)
+	return 0
+}
+
+// paced takes n bytes' worth of tokens after pace's wait.
+func (io *IO) paced(n units.ByteSize) {
+	io.tokens += float64(io.cfg.Shaper.Rate) * (io.k.Now() - io.lastRefill).Seconds() / 8
+	io.lastRefill = io.k.Now()
 	io.tokens -= float64(n)
 }
 
-// Write sends n bytes, charging CPU and pacing per chunk.
-func (io *IO) Write(ctx *sim.Ctx, n units.ByteSize) error {
-	return io.write(ctx, n, nil, false)
+// A write is one message in the send queue. It goes out in chunks of
+// writeChunk, and each chunk passes three waits in turn: its copy
+// charge on the task, the shaper, and space in the send buffer.
+type write struct {
+	io    *IO
+	left  units.ByteSize // bytes in chunks not yet begun
+	obj   any
+	phase phase
+	chunk units.ByteSize // the chunk in progress
+	copy  dsrt.Charge
+	rest  units.ByteSize // bytes of the chunk not yet in the send buffer
+	err   error
+	// gate, bound once, is step; sent is told a posted write's outcome.
+	gate   sim.Gate
+	posted bool
+	sent   func(error)
+}
+
+// phase is where a write's chunk is among its three waits.
+type phase uint8
+
+const (
+	phaseBegin phase = iota // no chunk in progress
+	phaseCharge
+	phasePace
+	phaseFill
+)
+
+// push appends a write of n bytes with obj to the queue.
+func (io *IO) push(n units.ByteSize, obj any) *write {
+	var w *write
+	if k := len(io.free); k > 0 {
+		w, io.free = io.free[k-1], io.free[:k-1]
+	} else {
+		w = &write{io: io}
+		w.gate = w.step
+	}
+	w.left, w.obj = n, obj
+	io.queue = append(io.queue, w)
+	return w
+}
+
+// recycle returns a finished write to the free list.
+func (io *IO) recycle(w *write) {
+	*w = write{io: io, gate: w.gate}
+	io.free = append(io.free, w)
 }
 
 // WriteMsg sends n bytes with obj attached at the end (see
-// tcpsim.Conn.WriteMsg).
+// tcpsim.Conn.WriteMsg), charging CPU and pacing per chunk. It waits
+// for the writes queued before it, then writes its own.
 func (io *IO) WriteMsg(ctx *sim.Ctx, n units.ByteSize, obj any) error {
-	return io.write(ctx, n, obj, true)
+	w := io.push(n, obj)
+	ctx.Await(w.gate)
+	err := w.err
+	io.recycle(w)
+	return err
 }
 
-func (io *IO) write(ctx *sim.Ctx, n units.ByteSize, obj any, mark bool) error {
-	io.writeMu.Lock(ctx)
-	defer io.writeMu.Unlock()
-	remaining := n
-	for remaining > 0 {
-		chunk := io.cfg.WriteChunk
-		if chunk > remaining {
-			chunk = remaining
-		}
-		io.chargeCPU(ctx, chunk)
-		io.pace(ctx, chunk)
-		last := remaining == chunk
-		var err error
-		if mark && last {
-			err = io.conn.WriteMsg(ctx, chunk, obj)
-		} else {
-			err = io.conn.Write(ctx, chunk)
-		}
-		if err != nil {
-			return err
-		}
-		io.bytesWritten += int64(chunk)
-		remaining -= chunk
+// Post queues a write like WriteMsg's and returns at once; it is safe
+// to call from kernel context. The connection's writer drives it from
+// an event at the current instant or when the writes ahead of it
+// finish. sent, if not nil, is told nil once the whole message is in
+// the send buffer, or the error that ended the write.
+func (io *IO) Post(n units.ByteSize, obj any, sent func(error)) {
+	w := io.push(n, obj)
+	w.posted, w.sent = true, sent
+	if len(io.queue) == 1 {
+		io.writer.Schedule()
 	}
-	return nil
 }
 
-// Read receives up to max bytes, charging CPU for the copy.
-func (io *IO) Read(ctx *sim.Ctx, max units.ByteSize) (units.ByteSize, error) {
-	n, err := io.conn.Read(ctx, max)
-	io.chargeCPU(ctx, n)
-	io.bytesRead += int64(n)
-	return n, err
-}
-
-// ReadFull receives exactly n bytes.
-func (io *IO) ReadFull(ctx *sim.Ctx, n units.ByteSize) error {
-	for n > 0 {
-		got, err := io.Read(ctx, n)
-		if err != nil {
-			return err
-		}
-		n -= got
+// step is the gate of a process waiting in WriteMsg.
+func (w *write) step() (*sim.Cond, time.Duration) {
+	if w.io.queue[0] != w {
+		return w.io.turn, 0
 	}
-	return nil
+	return w.advance()
+}
+
+// advance moves w, the head of the queue, through its chunks until one
+// must wait, and returns what for; (nil, 0) once w has finished.
+func (w *write) advance() (*sim.Cond, time.Duration) {
+	io := w.io
+	for {
+		switch w.phase {
+		case phaseBegin:
+			if w.left == 0 {
+				io.finish(w, nil)
+				return nil, 0
+			}
+			w.chunk = min(writeChunk, w.left)
+			w.left -= w.chunk
+			w.copy = dsrt.Charge{}
+			if cost := io.copyCost(w.chunk); cost > 0 {
+				w.copy = io.cfg.Task.Start(cost)
+			}
+			w.phase = phaseCharge
+		case phaseCharge:
+			if wait := w.copy.Pending(); wait != nil {
+				return wait, 0
+			}
+			w.phase, w.rest = phaseFill, w.chunk
+			if d := io.pace(w.chunk); d > 0 {
+				w.phase = phasePace
+				return nil, d
+			}
+		case phasePace:
+			io.paced(w.chunk)
+			w.phase = phaseFill
+		case phaseFill:
+			var obj any
+			if w.left == 0 {
+				obj, w.obj = w.obj, nil // the marker goes with the last byte
+			}
+			rest, wait, err := io.conn.WriteStep(w.rest, obj)
+			if err != nil {
+				io.finish(w, err)
+				return nil, 0
+			}
+			if w.rest = rest; wait != nil {
+				return wait, 0
+			}
+			io.bytesWritten += int64(w.chunk)
+			w.phase = phaseBegin
+		}
+	}
+}
+
+// finish takes w off the head of the queue with outcome err, wakes the
+// next write's driver in an event at the current instant, and tells a
+// posted write's sender.
+func (io *IO) finish(w *write, err error) {
+	w.err = err
+	io.queue = slices.Delete(io.queue, 0, 1)
+	switch {
+	case len(io.queue) == 0:
+	case io.queue[0].posted:
+		io.writer.Schedule()
+	default:
+		io.turn.Signal()
+	}
+	if w.posted {
+		sent := w.sent
+		io.recycle(w)
+		if sent != nil {
+			sent(err)
+		}
+	}
 }
 
 // ReadMsg receives one marked message, charging CPU for the copy.

@@ -1,6 +1,7 @@
 package globusio
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -57,14 +58,15 @@ func TestPlainWriteRead(t *testing.T) {
 	ioA, ioB := pair(t, k, 10*units.Mbps, Config{}, Config{})
 	var got units.ByteSize
 	k.Spawn("reader", func(ctx *sim.Ctx) {
-		if err := ioB.ReadFull(ctx, 50*units.KB); err != nil {
+		n, _, err := ioB.ReadMsg(ctx)
+		if err != nil {
 			t.Error(err)
 			return
 		}
-		got = 50 * units.KB
+		got = n
 	})
 	k.Spawn("writer", func(ctx *sim.Ctx) {
-		if err := ioA.Write(ctx, 50*units.KB); err != nil {
+		if err := ioA.WriteMsg(ctx, 50*units.KB, "msg"); err != nil {
 			t.Error(err)
 		}
 	})
@@ -98,13 +100,13 @@ func TestCPUChargingSlowsWriter(t *testing.T) {
 		}
 		var done time.Duration
 		k.Spawn("reader", func(ctx *sim.Ctx) {
-			if err := ioB.ReadFull(ctx, units.MB); err != nil {
+			if _, _, err := ioB.ReadMsg(ctx); err != nil {
 				t.Error(err)
 			}
 		})
 		k.Spawn("writer", func(ctx *sim.Ctx) {
 			start := ctx.Now()
-			if err := ioA.Write(ctx, units.MB); err != nil {
+			if err := ioA.WriteMsg(ctx, units.MB, "msg"); err != nil {
 				t.Error(err)
 				return
 			}
@@ -134,17 +136,17 @@ func TestShaperPacesWrites(t *testing.T) {
 	// even on a 100 Mb/s link.
 	k := sim.New(1)
 	sh := &ShaperConfig{Rate: units.Mbps, Depth: 10 * units.KB}
-	ioA, ioB := pair(t, k, 100*units.Mbps, Config{Shaper: sh, WriteChunk: 10 * units.KB}, Config{})
+	ioA, ioB := pair(t, k, 100*units.Mbps, Config{Shaper: sh}, Config{})
 	var done time.Duration
 	k.Spawn("reader", func(ctx *sim.Ctx) {
-		if err := ioB.ReadFull(ctx, 125*units.KB); err != nil {
+		if _, _, err := ioB.ReadMsg(ctx); err != nil {
 			t.Error(err)
 		}
 		done = ctx.Now()
 	})
 	start := k.Now()
 	k.Spawn("writer", func(ctx *sim.Ctx) {
-		if err := ioA.Write(ctx, 125*units.KB); err != nil {
+		if err := ioA.WriteMsg(ctx, 125*units.KB, "burst"); err != nil {
 			t.Error(err)
 		}
 	})
@@ -164,17 +166,17 @@ func TestShaperAllowsBurstUpToDepth(t *testing.T) {
 	// A write within the bucket depth goes out immediately.
 	k := sim.New(1)
 	sh := &ShaperConfig{Rate: units.Mbps, Depth: 50 * units.KB}
-	ioA, ioB := pair(t, k, 100*units.Mbps, Config{Shaper: sh, WriteChunk: 50 * units.KB}, Config{})
+	ioA, ioB := pair(t, k, 100*units.Mbps, Config{Shaper: sh}, Config{})
 	var done time.Duration
 	k.Spawn("reader", func(ctx *sim.Ctx) {
-		if err := ioB.ReadFull(ctx, 50*units.KB); err != nil {
+		if _, _, err := ioB.ReadMsg(ctx); err != nil {
 			t.Error(err)
 		}
 		done = ctx.Now()
 	})
 	start := k.Now()
 	k.Spawn("writer", func(ctx *sim.Ctx) {
-		ioA.Write(ctx, 50*units.KB)
+		ioA.WriteMsg(ctx, 50*units.KB, "burst")
 	})
 	if err := k.RunUntil(10 * time.Second); err != nil {
 		t.Fatal(err)
@@ -218,5 +220,58 @@ func TestSetSockBufs(t *testing.T) {
 	ioA.SetSockBufs(8*units.KB, 16*units.KB)
 	if ioA.Conn().SndBuf() != 8*units.KB {
 		t.Fatalf("snd buf = %v, want 8KB", ioA.Conn().SndBuf())
+	}
+}
+
+// TestPostedWritesKeepOrder: posted writes and a blocking WriteMsg
+// leave in posting order. The WriteMsg returns only after the write
+// posted before it is in the send buffer, each sender is told its
+// outcome in order, and a write posted after Close fails.
+func TestPostedWritesKeepOrder(t *testing.T) {
+	k := sim.New(1)
+	ioA, ioB := pair(t, k, 10*units.Mbps, Config{}, Config{})
+	var sent, got []any
+	note := func(name string) func(error) {
+		return func(err error) {
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+			sent = append(sent, name)
+		}
+	}
+	k.Spawn("reader", func(ctx *sim.Ctx) {
+		for i := 0; i < 3; i++ {
+			_, obj, err := ioB.ReadMsg(ctx)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got = append(got, obj)
+		}
+	})
+	k.Spawn("writer", func(ctx *sim.Ctx) {
+		ioA.Post(200*units.KB, "p1", note("p1"))
+		if err := ioA.WriteMsg(ctx, units.KB, "w2"); err != nil {
+			t.Error(err)
+		}
+		if fmt.Sprint(sent) != "[p1]" {
+			t.Errorf("WriteMsg returned with %v sent, want [p1]", sent)
+		}
+		ioA.Post(units.KB, "p3", note("p3"))
+	})
+	if err := k.RunUntil(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != "[p1 w2 p3]" || fmt.Sprint(sent) != "[p1 p3]" {
+		t.Fatalf("read %v and told %v, want [p1 w2 p3] and [p1 p3]", got, sent)
+	}
+	var closedErr error
+	ioA.Close()
+	ioA.Post(units.KB, "late", func(err error) { closedErr = err })
+	if err := k.RunFor(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if closedErr == nil {
+		t.Fatal("a write posted after Close did not fail")
 	}
 }

@@ -56,7 +56,7 @@ func TestPingPongAllocsPerRoundTrip(t *testing.T) {
 		pin  float64
 	}{
 		{"eager-1KB", units.KB, 4},
-		{"rendezvous-256KB", 256 * units.KB, 22},
+		{"rendezvous-256KB", 256 * units.KB, 16},
 	} {
 		got := float64(pingPongMallocs(2000, tc.n)-pingPongMallocs(1000, tc.n)) / 1000
 		t.Logf("%s: %.3f mallocs per round trip", tc.name, got)

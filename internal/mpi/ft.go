@@ -183,6 +183,7 @@ func (j *Job) CrashRank(i int) {
 		j.maybeGo()
 	}
 	for _, rr := range j.ranks {
+		rr.held = failList(rr.held, &RankFailedError{Rank: i}, func(p int) bool { return p == i })
 		rr.wired.Broadcast()
 	}
 	j.notifyRank(i, RankCrashed)
@@ -213,12 +214,10 @@ func (j *Job) RestartRank(i int, h *Host) {
 	// Reset the transport and matching engine. Communicator handles,
 	// context allocations, and split/pair epoch counters survive: the
 	// application recovers its comm handles through the init-state
-	// checkpoint instead of re-running collective creation calls. Send
-	// turns carry over too: the crashed incarnation's queued sends drain
-	// through them, each failing as it reaches the front.
+	// checkpoint instead of re-running collective creation calls.
 	r.conns = make(map[int]*globusio.IO)
 	r.unexpected, r.posted, r.awaitingCTS = nil, nil, nil
-	r.deadPeers = nil
+	r.deadPeers = make(map[int]bool)
 	r.epoch++
 	r.crashed = false
 	delete(j.failed, i)
@@ -235,7 +234,11 @@ func (j *Job) RestartRank(i int, h *Host) {
 	j.k.Spawn(fmt.Sprintf("mpi-rank-%d-r%d", i, epoch), func(ctx *sim.Ctx) {
 		span := j.k.Tracer().Begin(j.rankTrace(i), 0, "rank.restart", r.task.Name())
 		span.Int("rank", int64(i)).Int("epoch", int64(epoch))
-		r.rejoin(ctx)
+		// Dial every live peer, but let a higher peer that is itself
+		// restarting dial us, so no pair dials twice.
+		r.wire(ctx, func(peer int) bool {
+			return !j.failed[peer] && !j.ranks[peer].finalized && !(j.restarting[peer] && peer > r.id)
+		})
 		span.End()
 		delete(j.restarting, i)
 		j.k.Metrics().Events().Emit(metrics.EvRankRestart, r.task.Name(), int64(i), int64(epoch), 0)
@@ -249,38 +252,6 @@ func (j *Job) RestartRank(i int, h *Host) {
 		j.main(ctx, r)
 		r.done = true
 	})
-}
-
-// rejoin re-establishes the restarted rank's connection mesh: listen
-// on the rank's well-known port, dial every live peer (keeping the
-// lower-dials-higher rule toward peers that are themselves mid-
-// restart, so no pair dials twice), and wait until every live peer is
-// wired.
-func (r *Rank) rejoin(ctx *sim.Ctx) {
-	j := r.job
-	l, err := r.host.TCP.Listen(j.port(r.id))
-	if err != nil {
-		panic(fmt.Sprintf("mpi: rank %d relisten: %v", r.id, err))
-	}
-	r.listener = l
-	ctx.SpawnChild(fmt.Sprintf("mpi-accept-%d-r%d", r.id, r.epoch), func(actx *sim.Ctx) {
-		r.acceptLoop(actx, l)
-	})
-	for peer := 0; peer < j.Size(); peer++ {
-		if peer == r.id || j.failed[peer] || j.ranks[peer].finalized {
-			continue
-		}
-		if j.restarting[peer] && peer > r.id {
-			// The higher restarting peer dials us.
-			continue
-		}
-		if !r.dialPeer(ctx, peer) {
-			return // crashed again mid-rejoin
-		}
-	}
-	for !r.crashed && !r.wiredUp() {
-		r.wired.Wait(ctx)
-	}
 }
 
 // Checkpoint is one saved rank state snapshot.

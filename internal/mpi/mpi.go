@@ -13,7 +13,7 @@ package mpi
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"mpichgq/internal/dsrt"
@@ -161,7 +161,7 @@ func (j *Job) Start(main func(ctx *sim.Ctx, r *Rank)) {
 	for _, r := range j.ranks {
 		r := r
 		j.k.Spawn(fmt.Sprintf("mpi-rank-%d", r.id), func(ctx *sim.Ctx) {
-			if !r.setup(ctx) {
+			if !r.wire(ctx, func(peer int) bool { return peer < r.id && !j.failed[peer] }) {
 				// Crashed during wiring; a restart re-enters through
 				// RestartRank's own process.
 				r.done = true
@@ -234,13 +234,13 @@ type Rank struct {
 	conns     map[int]*globusio.IO
 	finalized bool
 
-	// Matching engine. posted and awaitingCTS hold the pending
-	// Requests in posting order; turns orders the sends to each peer.
+	// Matching engine. posted, awaitingCTS and held hold the pending
+	// Requests in posting order.
 	unexpected  []*envelope
 	posted      []*Request
 	awaitingCTS []*Request
+	held        []*Request
 	nextRdvSeq  uint64
-	turns       []sendTurn
 
 	splitEpoch map[int]int // per-source-comm CommSplit call counter
 	pairEpoch  map[[3]int]int
@@ -301,10 +301,6 @@ func (r *Rank) RecvBytesCounter(comm *Comm) *metrics.Counter {
 }
 
 func newRank(j *Job, id int, h *Host) *Rank {
-	turns := make([]sendTurn, len(j.hosts))
-	for i := range turns {
-		turns[i].cond = sim.NewCond(j.k)
-	}
 	return &Rank{
 		job:        j,
 		id:         id,
@@ -312,7 +308,7 @@ func newRank(j *Job, id int, h *Host) *Rank {
 		task:       h.CPU.NewTask(fmt.Sprintf("rank-%d", id)),
 		wired:      sim.NewCond(j.k),
 		conns:      make(map[int]*globusio.IO),
-		turns:      turns,
+		deadPeers:  make(map[int]bool),
 		splitEpoch: make(map[int]int),
 		pairEpoch:  make(map[[3]int]int),
 	}
@@ -348,37 +344,33 @@ func (j *Job) port(i int) netsim.Port {
 	return j.opts.BasePort + netsim.Port(i)
 }
 
-// ioConfig builds the globus-io wrapper configuration for this rank.
-func (r *Rank) ioConfig() globusio.Config {
-	return globusio.Config{
-		Task:          r.task,
-		CopyCostPerKB: r.job.opts.CopyCostPerKB,
-		Shaper:        r.job.opts.Shaper,
+// wrap adorns connection c with globus-io, charging this rank's task
+// for copies and applying the job's socket buffer and shaper options.
+func (r *Rank) wrap(c *tcpsim.Conn) *globusio.IO {
+	o := r.job.opts
+	io := globusio.Wrap(r.job.k, c, globusio.Config{Task: r.task, CopyCostPerKB: o.CopyCostPerKB, Shaper: o.Shaper})
+	if o.SockBuf > 0 {
+		io.SetSockBufs(o.SockBuf, o.SockBuf)
 	}
+	return io
 }
 
 // hello is the first message on every MPI connection, identifying the
 // dialing rank.
 type hello struct{ from int }
 
-// setup wires this rank to all others: dial every lower rank, accept
-// from every higher rank. The accept loop persists for the rank's
-// lifetime so restarted peers can reconnect. Returns false if this
-// rank was crashed while wiring.
-func (r *Rank) setup(ctx *sim.Ctx) bool {
+// wire connects this rank to the job's mesh: it listens behind an
+// accept gate, dials each peer dial reports true for, and waits until
+// every live peer is wired. It returns false if the rank crashed.
+func (r *Rank) wire(ctx *sim.Ctx, dial func(peer int) bool) bool {
 	l, err := r.host.TCP.Listen(r.job.port(r.id))
 	if err != nil {
 		panic(fmt.Sprintf("mpi: rank %d listen: %v", r.id, err))
 	}
 	r.listener = l
-	ctx.SpawnChild(fmt.Sprintf("mpi-accept-%d", r.id), func(actx *sim.Ctx) {
-		r.acceptLoop(actx, l)
-	})
-	for peer := 0; peer < r.id; peer++ {
-		if r.job.failed[peer] {
-			continue // crashed before we could dial; nothing to wire
-		}
-		if !r.dialPeer(ctx, peer) {
+	sim.NewWaiter(r.job.k, r.accept(l)).Schedule()
+	for peer := 0; peer < r.job.Size(); peer++ {
+		if peer != r.id && dial(peer) && !r.dialPeer(ctx, peer) {
 			return false
 		}
 	}
@@ -388,25 +380,31 @@ func (r *Rank) setup(ctx *sim.Ctx) bool {
 	return !r.crashed
 }
 
-// acceptLoop accepts peer connections for the life of the listener
-// (until Finalize or a crash closes it): the initial higher-rank
-// dials, and reconnects from restarted peers.
-func (r *Rank) acceptLoop(actx *sim.Ctx, l *tcpsim.Listener) {
-	for {
-		c, err := l.Accept(actx)
-		if err != nil {
-			return // listener closed
+// accept is the gate of the rank's listener until Finalize or a crash
+// closes it. It takes one connection at a time: it reads the hello
+// that names the dialing peer and registers it before the next.
+func (r *Rank) accept(l *tcpsim.Listener) sim.Gate {
+	var io *globusio.IO // the accepted connection whose hello is awaited
+	return func() (*sim.Cond, time.Duration) {
+		for {
+			if io == nil {
+				c, wait, err := l.Next()
+				if wait != nil || err != nil {
+					return wait, 0 // err: the listener closed
+				}
+				io = r.wrap(c)
+			}
+			_, obj, wait, err := io.NextMsg()
+			if wait != nil {
+				return wait, 0
+			}
+			if err != nil {
+				io.Close() // the dialer died between connect and hello
+			} else {
+				r.registerConn(obj.(hello).from, io)
+			}
+			io = nil
 		}
-		io := globusio.Wrap(r.job.k, c, r.ioConfig())
-		r.applySockBuf(io)
-		_, obj, err := io.ReadMsg(actx)
-		if err != nil {
-			// Dialer died between connect and hello.
-			io.Close()
-			continue
-		}
-		peer := obj.(hello).from
-		r.registerConn(peer, io)
 	}
 }
 
@@ -414,29 +412,23 @@ func (r *Rank) acceptLoop(actx *sim.Ctx, l *tcpsim.Listener) {
 // if this rank crashed mid-dial; a peer that crashed under the dial
 // is skipped (its failure surfaces through the failed set instead).
 func (r *Rank) dialPeer(ctx *sim.Ctx, peer int) bool {
+	var io *globusio.IO
 	c, err := r.host.TCP.Dial(ctx, r.job.hosts[peer].Node.Addr(), r.job.port(peer))
-	if err != nil {
-		if r.crashed {
-			return false
-		}
-		if r.job.failed[peer] {
+	if err == nil {
+		io = r.wrap(c)
+		if err = io.WriteMsg(ctx, envelopeSize, hello{from: r.id}); err == nil {
+			r.registerConn(peer, io)
 			return true
 		}
-		panic(fmt.Sprintf("mpi: rank %d dial %d: %v", r.id, peer, err))
 	}
-	io := globusio.Wrap(r.job.k, c, r.ioConfig())
-	r.applySockBuf(io)
-	if err := io.WriteMsg(ctx, int64ToSize(int64(envelopeSize)), hello{from: r.id}); err != nil {
-		if r.crashed {
-			return false
-		}
-		if r.job.failed[peer] {
-			io.Close()
-			return true
-		}
-		panic(fmt.Sprintf("mpi: rank %d hello to %d: %v", r.id, peer, err))
+	switch {
+	case r.crashed:
+		return false
+	case !r.job.failed[peer]:
+		panic(fmt.Sprintf("mpi: rank %d wiring to %d: %v", r.id, peer, err))
+	case io != nil:
+		io.Close()
 	}
-	r.registerConn(peer, io)
 	return true
 }
 
@@ -444,31 +436,18 @@ func (r *Rank) dialPeer(ctx *sim.Ctx, peer int) bool {
 // currently-live peer.
 func (r *Rank) wiredUp() bool {
 	for p := 0; p < r.job.Size(); p++ {
-		if p == r.id || r.job.failed[p] {
-			continue
-		}
-		if r.conns[p] == nil {
+		if p != r.id && !r.job.failed[p] && r.conns[p] == nil {
 			return false
 		}
 	}
 	return true
 }
 
-func int64ToSize(n int64) units.ByteSize { return units.ByteSize(n) }
-
-func (r *Rank) applySockBuf(io *globusio.IO) {
-	if b := r.job.opts.SockBuf; b > 0 {
-		io.SetSockBufs(b, b)
-	}
-}
-
-// registerConn records the connection and starts its reader, the
-// progress engine for that peer: a process gated on progress, which
-// handles every message in kernel context and admits the process,
-// and so gives it a goroutine, only to run peerDown at teardown. A
-// rank has exactly one live incarnation, so in a job that has seen
-// restarts the newest connection for a peer wins; in a restart-free
-// job a duplicate is still the wiring bug it always was.
+// registerConn records the connection, posts the sends held for the
+// peer, and starts the connection's reader. A rank has exactly one
+// live incarnation, so in a job that has seen restarts the newest
+// connection for a peer wins; in a restart-free job a duplicate is
+// still the wiring bug it always was.
 func (r *Rank) registerConn(peer int, io *globusio.IO) {
 	if old := r.conns[peer]; old != nil {
 		if r.job.restarts == 0 {
@@ -479,9 +458,13 @@ func (r *Rank) registerConn(peer int, io *globusio.IO) {
 	delete(r.deadPeers, peer)
 	r.conns[peer] = io
 	r.wired.Broadcast()
-	r.job.k.SpawnWhen(fmt.Sprintf("mpi-reader-%d<-%d", r.id, peer), r.progress(io), func(*sim.Ctx) {
-		r.peerDown(peer, io)
-	})
+	for _, q := range r.held {
+		if q.peer == peer {
+			r.post(io, q)
+		}
+	}
+	r.held = slices.DeleteFunc(r.held, func(q *Request) bool { return q.peer == peer })
+	sim.NewWaiter(r.job.k, r.progress(peer, io)).Schedule()
 }
 
 // Conn returns the wrapped connection to a peer world rank (nil for
@@ -504,15 +487,10 @@ func (r *Rank) Finalize(ctx *sim.Ctx) error {
 	r.finalized = true
 	// Tear down in peer order: Drain blocks, so map order would make
 	// the teardown schedule differ from run to run.
-	peers := make([]int, 0, len(r.conns))
-	for peer := range r.conns {
-		peers = append(peers, peer)
-	}
-	sort.Ints(peers)
-	for _, peer := range peers {
+	for peer := 0; peer < r.job.Size(); peer++ {
 		conn := r.conns[peer]
 		if conn == nil {
-			continue // peerDown dropped it while an earlier Drain blocked
+			continue // no connection, or peerDown dropped it while an earlier Drain blocked
 		}
 		// Drain may fail if the peer closed first; proceed to Close
 		// regardless — teardown is best effort past the barrier.

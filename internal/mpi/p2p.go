@@ -71,36 +71,6 @@ type envelope struct {
 	sentAt time.Duration
 }
 
-// sendTurn keeps the sends to one peer in call order, MPI's
-// non-overtaking rule: each send draws a ticket when it is called and
-// writes its eager frame or RTS when that ticket is served.
-type sendTurn struct {
-	next, serving uint64
-	cond          *sim.Cond
-}
-
-// take draws the next ticket.
-func (t *sendTurn) take() uint64 {
-	t.next++
-	return t.next - 1
-}
-
-// gate admits the holder of ticket once it is served.
-func (t *sendTurn) gate(ticket uint64) sim.Gate {
-	return func() (*sim.Cond, time.Duration) {
-		if t.serving == ticket {
-			return nil, 0
-		}
-		return t.cond, 0
-	}
-}
-
-// pass hands the turn to the next ticket.
-func (t *sendTurn) pass() {
-	t.serving++
-	t.cond.Broadcast()
-}
-
 // peerDown fails pending and future receives from a finished or
 // failed peer, and releases rendezvous senders waiting on its
 // clear-to-send. A cleanly finalized peer yields ErrRankFinished and
@@ -120,11 +90,7 @@ func (r *Rank) peerDown(peer int, conn *globusio.IO) {
 		delete(r.conns, peer)
 		cur.Close()
 	}
-	if r.deadPeers == nil {
-		r.deadPeers = make(map[int]bool)
-	}
 	r.deadPeers[peer] = true
-	r.wired.Broadcast() // wake senders blocked on the reconnect window
 	err := error(ErrRankFinished)
 	if crashed {
 		err = &RankFailedError{Rank: peer}
@@ -134,13 +100,15 @@ func (r *Rank) peerDown(peer int, conn *globusio.IO) {
 
 // failPending completes with err every pending operation that waits on
 // a rank down reports true for: receives posted for it or owed its
-// rendezvous data, and sends awaiting its clear-to-send. Each list is
-// walked front to back, so the operations fail in the order they were
-// posted. Unexpected RTS envelopes from such a rank are marked, so the
-// receive that later matches one fails instead of waiting for data.
+// rendezvous data, sends awaiting its clear-to-send or its connection.
+// Each list is walked front to back, so the operations fail in the
+// order they were posted. Unexpected RTS envelopes from such a rank
+// are marked, so the receive that later matches one fails instead of
+// waiting for data.
 func (r *Rank) failPending(err error, down func(peer int) bool) {
 	r.posted = failList(r.posted, err, down)
 	r.awaitingCTS = failList(r.awaitingCTS, err, down)
+	r.held = failList(r.held, err, down)
 	for _, e := range r.unexpected {
 		if !e.arrived && e.err == nil && down(e.src) {
 			e.err = err
@@ -163,12 +131,11 @@ func failList(list []*Request, err error, down func(peer int) bool) []*Request {
 	return kept
 }
 
-// progress is the gate of the per-peer progress engine. It runs in
-// kernel context at every wakeup of the connection's receive side,
-// reads each complete message off conn and handles it in place, and
-// admits the reader process, which only tears the peer down, once
+// progress is the gate of conn's reader, the progress engine for peer.
+// At every wakeup of the receive side it reads each complete message
+// off conn and handles it in place, and it tears the peer down once
 // the connection shuts down (clean and unclean shutdown alike).
-func (r *Rank) progress(conn *globusio.IO) sim.Gate {
+func (r *Rank) progress(peer int, conn *globusio.IO) sim.Gate {
 	return func() (*sim.Cond, time.Duration) {
 		for {
 			_, obj, wait, err := conn.NextMsg()
@@ -176,17 +143,18 @@ func (r *Rank) progress(conn *globusio.IO) sim.Gate {
 			case wait != nil:
 				return wait, 0
 			case err != nil:
+				r.peerDown(peer, conn)
 				return nil, 0
 			}
-			r.handle(obj)
+			r.handle(conn, obj)
 		}
 	}
 }
 
-// handle dispatches one message from a peer: it turns eager frames
-// and RTS into envelopes, releases the send a CTS clears, and hands
-// rendezvous data to its receive.
-func (r *Rank) handle(obj any) {
+// handle dispatches one message that arrived on conn: it turns eager
+// frames and RTS into envelopes, posts a rendezvous send's data on its
+// CTS, and hands rendezvous data to its receive.
+func (r *Rank) handle(conn *globusio.IO, obj any) {
 	m, ok := obj.(wireMsg)
 	if !ok {
 		panic(fmt.Sprintf("mpi: rank %d got non-wire object %T", r.id, obj))
@@ -207,7 +175,9 @@ func (r *Rank) handle(obj any) {
 			if q.seq == m.seq {
 				r.awaitingCTS = slices.Delete(r.awaitingCTS, i, i+1)
 				q.cts = true
-				q.cond.Broadcast()
+				conn.Post(envelopeSize+q.msg.Len, wireMsg{
+					kind: kindRdvData, src: r.id, size: q.msg.Len, data: q.msg.Data, seq: q.seq,
+				}, q.sent)
 				break
 			}
 		}
@@ -240,18 +210,11 @@ func (r *Rank) deliver(env envelope) {
 	r.unexpected = append(r.unexpected, &kept)
 }
 
-// sendCTS sends clear-to-send for a matched RTS envelope.
+// sendCTS posts the clear-to-send for a matched RTS envelope.
 func (r *Rank) sendCTS(env *envelope) {
-	// Send CTS from a helper process (we may be in kernel context).
-	peer := env.src
-	seq := env.rdvSeq
-	r.job.k.Spawn(fmt.Sprintf("mpi-cts-%d->%d", r.id, peer), func(ctx *sim.Ctx) {
-		conn := r.conns[peer]
-		if conn == nil {
-			return
-		}
-		conn.WriteMsg(ctx, envelopeSize, wireMsg{kind: kindCTS, src: r.id, seq: seq})
-	})
+	if conn := r.conns[env.src]; conn != nil {
+		conn.Post(envelopeSize, wireMsg{kind: kindCTS, src: r.id, seq: env.rdvSeq}, nil)
+	}
 }
 
 // completeRdv hands arrived rendezvous data to the posted receive that
@@ -290,18 +253,25 @@ func (r *Rank) completeRecv(q *Request, env *envelope) {
 
 // Send transmits n bytes with data attached to (dest, tag) on comm,
 // blocking until the message is handed to the transport (standard-mode
-// semantics: buffered locally or matched remotely). It waits for any
-// earlier send to the same peer to reach the wire first.
+// semantics: buffered locally or matched remotely). The calling process
+// writes an eager frame to a wired peer itself; any other send is an
+// Isend and a Wait.
 func (r *Rank) Send(ctx *sim.Ctx, comm *Comm, dest, tag int, n units.ByteSize, data any) error {
 	gdest, err := checkSend(comm, dest, n)
 	if err != nil {
 		return err
 	}
-	turn := &r.turns[gdest]
-	if ticket := turn.take(); ticket != turn.serving {
-		ctx.Await(turn.gate(ticket))
+	conn := r.conns[gdest]
+	if n > r.job.opts.EagerThreshold || conn == nil || r.crashed || r.job.failed[gdest] {
+		return r.isend(comm, gdest, tag, n, data).Wait(ctx)
 	}
-	return r.handleErr(r.send(ctx, nil, comm, gdest, tag, n, data))
+	r.countSend(comm, n)
+	if err := conn.WriteMsg(ctx, envelopeSize+n, wireMsg{
+		kind: kindEager, src: r.id, ctx: comm.ctxID, tag: tag, size: n, data: data, sentAt: r.job.k.Now(),
+	}); err != nil {
+		return r.handleErr(r.commFail(gdest, err))
+	}
+	return nil
 }
 
 // checkSend validates a send's arguments and returns the destination's
@@ -313,96 +283,11 @@ func checkSend(comm *Comm, dest int, n units.ByteSize) (int, error) {
 	return comm.globalRank(dest)
 }
 
-// send runs a send that holds its turn toward gdest. The turn passes
-// on once the eager frame or the RTS is written, or the send fails
-// before that; a rendezvous send then waits for clear-to-send and
-// writes its data. q is the send's Request if it has one (Isend); a
-// blocking rendezvous Send makes one to wait on.
-func (r *Rank) send(ctx *sim.Ctx, q *Request, comm *Comm, gdest, tag int, n units.ByteSize, data any) error {
-	q, conn, err := r.announce(ctx, q, comm, gdest, tag, n, data)
-	r.turns[gdest].pass()
-	if err != nil || conn == nil {
-		return err
-	}
-	for !q.cts && !q.done {
-		q.cond.Wait(ctx)
-	}
-	if q.done {
-		return q.err // failed while awaiting clear-to-send
-	}
-	if err := conn.WriteMsg(ctx, envelopeSize+n, wireMsg{
-		kind: kindRdvData, src: r.id, size: n, data: data, seq: q.seq,
-	}); err != nil {
-		return r.commFail(gdest, err)
-	}
-	return nil
-}
-
-// announce puts the eager frame on the wire, or, for a rendezvous,
-// queues q on awaitingCTS and writes the RTS. It returns the
-// connection only for a rendezvous, whose data is still to be sent.
-func (r *Rank) announce(ctx *sim.Ctx, q *Request, comm *Comm, gdest, tag int, n units.ByteSize, data any) (*Request, *globusio.IO, error) {
-	if r.crashed {
-		return q, nil, &RankFailedError{Rank: r.id}
-	}
-	if gdest != r.id && r.job.failed[gdest] {
-		return q, nil, &RankFailedError{Rank: gdest}
-	}
-	now := r.job.k.Now()
+// countSend records a sent message of n bytes on comm.
+func (r *Rank) countSend(comm *Comm, n units.ByteSize) {
 	cm := r.commMetrics(comm.ctxID)
-	if gdest == r.id {
-		// Self-send: deliver directly.
-		cm.sentMsgs.Inc()
-		cm.sentBytes.Add(int64(n))
-		r.deliver(envelope{src: r.id, ctx: comm.ctxID, tag: tag, size: n, data: data, arrived: true, sentAt: now})
-		return q, nil, nil
-	}
-	conn := r.conns[gdest]
-	// A restarted job may catch the peer mid-rejoin: it is alive (not
-	// failed, not finished) but its connection is still being wired.
-	// Block until the mesh change resolves — a registered connection, the
-	// peer's failure, or our own crash all broadcast wired.
-	for conn == nil && !r.crashed && r.job.restarts > 0 &&
-		!r.job.failed[gdest] && !r.deadPeers[gdest] {
-		r.wired.Wait(ctx)
-		conn = r.conns[gdest]
-	}
-	if r.crashed {
-		return q, nil, &RankFailedError{Rank: r.id}
-	}
-	if conn == nil {
-		if r.job.failed[gdest] {
-			return q, nil, &RankFailedError{Rank: gdest}
-		}
-		if r.deadPeers[gdest] {
-			return q, nil, ErrRankFinished
-		}
-		return q, nil, fmt.Errorf("mpi: rank %d has no connection to %d", r.id, gdest)
-	}
 	cm.sentMsgs.Inc()
 	cm.sentBytes.Add(int64(n))
-	if n <= r.job.opts.EagerThreshold {
-		if err := conn.WriteMsg(ctx, envelopeSize+n, wireMsg{
-			kind: kindEager, src: r.id, ctx: comm.ctxID, tag: tag, size: n, data: data, sentAt: now,
-		}); err != nil {
-			return q, nil, r.commFail(gdest, err)
-		}
-		return q, nil, nil
-	}
-	// Rendezvous: RTS now; the caller waits for CTS, then sends the data.
-	if q == nil {
-		q = &Request{rank: r, peer: gdest, cond: sim.MakeCond(r.job.k)}
-	}
-	r.nextRdvSeq++
-	q.seq = r.nextRdvSeq
-	r.awaitingCTS = append(r.awaitingCTS, q)
-	if err := conn.WriteMsg(ctx, envelopeSize, wireMsg{
-		kind: kindRTS, src: r.id, ctx: comm.ctxID, tag: tag, size: n, seq: q.seq, sentAt: now,
-	}); err != nil {
-		r.awaitingCTS = slices.DeleteFunc(r.awaitingCTS, func(p *Request) bool { return p == q })
-		return q, nil, r.commFail(gdest, err)
-	}
-	return q, conn, nil
 }
 
 // commFail maps a transport-level write error to the MPI-level cause:

@@ -3,41 +3,48 @@ package mpi
 import (
 	"fmt"
 	"slices"
+	"time"
 
+	"mpichgq/internal/globusio"
 	"mpichgq/internal/sim"
 	"mpichgq/internal/units"
 )
 
 // Request is a handle to a nonblocking operation (MPI_Request), and
 // the rank's one record of a point-to-point operation in flight. A
-// receive sits on the rank's posted list from the moment it is posted
-// until its data arrives or it fails; a rendezvous send sits on the
-// awaitingCTS list from its RTS until the clear-to-send arrives or it
-// fails. Both lists keep posting order: deliver matches in that order,
-// and a peer failure completes the operations in that order.
+// receive sits on the rank's posted list until its data arrives, a
+// rendezvous send on awaitingCTS until its clear-to-send arrives, and
+// a send to a peer rejoining the job on held until the peer is wired,
+// or until they fail. Each list keeps posting order, the order in
+// which deliver matches, held sends are posted and failures land.
 //
 // The Cond and a receive's Message live inside the Request, so an
 // eager receive costs one allocation. A Request must not be copied.
 type Request struct {
 	rank *Rank
 	done bool
+	send bool
 	err  error
-	msg  Message // a receive's message, once it completes without error
+	// msg is a receive's message, once it completes without error,
+	// and a send's payload (Len and Data) until its data is posted.
+	msg  Message
 	cond sim.Cond
 
 	// peer is the world rank the operation waits on: a send's
 	// destination, or a receive's source (AnySource until an RTS
 	// matches it).
 	peer int
-	// Receives match on comm's context and tag (or AnyTag); env is the
-	// matched RTS envelope while its data is still to come.
+	// Operations carry comm's context and tag. Receives match on them
+	// (tag may be AnyTag); env is the matched RTS envelope while its
+	// data is still to come.
 	comm *Comm
 	tag  int
 	env  *envelope
 	// seq is a rendezvous send's transaction; cts records its
-	// clear-to-send.
-	seq uint64
-	cts bool
+	// clear-to-send. sentAt is when a send was called.
+	seq    uint64
+	cts    bool
+	sentAt time.Duration
 }
 
 // Done reports completion without blocking (MPI_Test).
@@ -56,13 +63,13 @@ func (q *Request) Wait(ctx *sim.Ctx) error {
 // request, or nil if the request is a send, has not completed, or
 // failed.
 func (q *Request) Message() *Message {
-	if q.comm == nil || !q.done || q.err != nil {
+	if q.send || !q.done || q.err != nil {
 		return nil
 	}
 	return &q.msg
 }
 
-// complete finishes q once; a later call, such as an Isend helper's
+// complete finishes q once; a later call, such as a failed write's
 // after a failure sweep got there first, is a no-op.
 func (q *Request) complete(err error) {
 	if q.done {
@@ -73,6 +80,19 @@ func (q *Request) complete(err error) {
 	q.cond.Broadcast()
 }
 
+// sent is told the outcome of a posted send's write: the eager frame
+// or the rendezvous data completes it, the RTS leaves it awaiting its
+// clear-to-send, and a failed write fails it.
+func (q *Request) sent(err error) {
+	switch {
+	case err != nil:
+		q.rank.awaitingCTS = slices.DeleteFunc(q.rank.awaitingCTS, func(p *Request) bool { return p == q })
+		q.complete(q.rank.commFail(q.peer, err))
+	case q.seq == 0 || q.cts:
+		q.complete(nil)
+	}
+}
+
 // matches reports whether receive q, not yet matched, takes env.
 func (q *Request) matches(env *envelope) bool {
 	return q.env == nil && q.comm.ctxID == env.ctx &&
@@ -80,21 +100,58 @@ func (q *Request) matches(env *envelope) bool {
 		(q.tag == AnyTag || q.tag == env.tag)
 }
 
-// Isend starts a nonblocking send. A helper process writes the message
-// once every earlier send to the same peer has reached the wire; Wait
-// returns once the send has standard-mode completed (buffered or
-// delivered).
+// Isend starts a nonblocking send: its eager frame or RTS joins the
+// peer's send queue behind every earlier send to it (MPI
+// non-overtaking). Wait returns once the send has standard-mode
+// completed (buffered or delivered).
 func (r *Rank) Isend(ctx *sim.Ctx, comm *Comm, dest, tag int, n units.ByteSize, data any) (*Request, error) {
 	gdest, err := checkSend(comm, dest, n)
 	if err != nil {
 		return nil, err
 	}
-	q := &Request{rank: r, peer: gdest, cond: sim.MakeCond(r.job.k)}
-	turn := &r.turns[gdest]
-	r.job.k.SpawnWhen(fmt.Sprintf("mpi-isend-%d", r.id), turn.gate(turn.take()), func(sctx *sim.Ctx) {
-		q.complete(r.send(sctx, q, comm, gdest, tag, n, data))
-	})
-	return q, nil
+	return r.isend(comm, gdest, tag, n, data), nil
+}
+
+// isend starts a send to world rank gdest and returns its Request,
+// which fails at once if the send cannot go out.
+func (r *Rank) isend(comm *Comm, gdest, tag int, n units.ByteSize, data any) *Request {
+	q := &Request{rank: r, send: true, peer: gdest, comm: comm, tag: tag, sentAt: r.job.k.Now(),
+		msg: Message{Len: n, Data: data}, cond: sim.MakeCond(r.job.k)}
+	conn := r.conns[gdest]
+	switch {
+	case r.crashed:
+		q.complete(&RankFailedError{Rank: r.id})
+	case gdest == r.id:
+		r.countSend(comm, n)
+		r.deliver(envelope{src: r.id, ctx: comm.ctxID, tag: tag, size: n, data: data, arrived: true, sentAt: q.sentAt})
+		q.complete(nil)
+	case r.job.failed[gdest]:
+		q.complete(&RankFailedError{Rank: gdest})
+	case conn != nil:
+		r.post(conn, q)
+	case r.deadPeers[gdest]:
+		q.complete(ErrRankFinished)
+	case r.job.restarts == 0:
+		q.complete(fmt.Errorf("mpi: rank %d has no connection to %d", r.id, gdest))
+	default: // gdest is alive and rejoining the job
+		r.held = append(r.held, q)
+	}
+	return q
+}
+
+// post counts send q and puts its eager frame, or its RTS, into conn's
+// send queue.
+func (r *Rank) post(conn *globusio.IO, q *Request) {
+	r.countSend(q.comm, q.msg.Len)
+	m := wireMsg{kind: kindEager, src: r.id, ctx: q.comm.ctxID, tag: q.tag, size: q.msg.Len, data: q.msg.Data, sentAt: q.sentAt}
+	n := envelopeSize + m.size
+	if m.size > r.job.opts.EagerThreshold {
+		r.nextRdvSeq++
+		q.seq = r.nextRdvSeq
+		r.awaitingCTS = append(r.awaitingCTS, q)
+		m.kind, m.data, m.seq, n = kindRTS, nil, q.seq, envelopeSize
+	}
+	conn.Post(n, m, q.sent)
 }
 
 // Irecv posts a nonblocking receive. It takes the first matching

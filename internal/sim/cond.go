@@ -147,38 +147,6 @@ func (c *Cond) remove(p *Proc) {
 	}
 }
 
-// Mutex is a mutual-exclusion lock for processes. Lock blocks the
-// calling process until the lock is free; waiters acquire in FIFO
-// order. Unlock may be called from any context.
-type Mutex struct {
-	held bool
-	cond *Cond
-}
-
-// NewMutex returns an unlocked mutex on kernel k.
-func NewMutex(k *Kernel) *Mutex { return &Mutex{cond: NewCond(k)} }
-
-// Lock blocks until the mutex is acquired.
-func (m *Mutex) Lock(ctx *Ctx) {
-	for m.held {
-		m.cond.Wait(ctx)
-	}
-	m.held = true
-}
-
-// Unlock releases the mutex and wakes one waiter. Unlocking an
-// unlocked mutex panics.
-func (m *Mutex) Unlock() {
-	if !m.held {
-		panic("sim: Unlock of unlocked Mutex")
-	}
-	m.held = false
-	m.cond.Signal()
-}
-
-// Locked reports whether the mutex is currently held.
-func (m *Mutex) Locked() bool { return m.held }
-
 // Mailbox is an unbounded FIFO queue with blocking receive, the
 // simulation analogue of a channel. Any number of processes may block
 // in Recv; items are handed out in arrival order to waiters in FIFO
@@ -216,54 +184,55 @@ func (m *Mailbox) Close() {
 	m.cond.Broadcast()
 }
 
+// Next is Recv's non-blocking step, safe to call from kernel context.
+// It returns the oldest item and true, or the Cond whose next signal
+// may bring one, or neither once the mailbox is closed and drained.
+func (m *Mailbox) Next() (any, *Cond, bool) {
+	if len(m.items) > 0 {
+		v := m.items[0]
+		m.items = m.items[1:]
+		return v, nil, true
+	}
+	if m.closed {
+		return nil, nil, false
+	}
+	return nil, m.cond, false
+}
+
 // Recv blocks until an item is available or the mailbox is closed and
 // drained. The second result is false only in the closed-and-drained
 // case.
 func (m *Mailbox) Recv(ctx *Ctx) (any, bool) {
-	for len(m.items) == 0 {
-		if m.closed {
-			return nil, false
+	for {
+		v, wait, ok := m.Next()
+		if wait == nil {
+			return v, ok
 		}
-		m.cond.Wait(ctx)
+		wait.Wait(ctx)
 	}
-	v := m.items[0]
-	m.items = m.items[1:]
-	return v, true
 }
 
 // RecvTimeout is Recv with a deadline; ok is false if the timeout
 // expired or the mailbox closed before an item arrived.
-func (m *Mailbox) RecvTimeout(ctx *Ctx, d time.Duration) (v any, ok bool) {
+func (m *Mailbox) RecvTimeout(ctx *Ctx, d time.Duration) (any, bool) {
 	deadline := m.k.now + d
-	for len(m.items) == 0 {
-		if m.closed {
-			return nil, false
+	for {
+		v, wait, ok := m.Next()
+		if wait == nil {
+			return v, ok
 		}
-		remain := deadline - m.k.now
-		if remain <= 0 || !m.cond.WaitTimeout(ctx, remain) {
-			if len(m.items) > 0 {
-				break
-			}
-			return nil, false
+		if remain := deadline - m.k.now; remain <= 0 || !wait.WaitTimeout(ctx, remain) {
+			v, _, ok = m.Next() // an item may have come with the timeout
+			return v, ok
 		}
 	}
-	v = m.items[0]
-	m.items = m.items[1:]
-	return v, true
 }
 
 // TryRecv returns an item if one is queued, without blocking.
 func (m *Mailbox) TryRecv() (any, bool) {
-	if len(m.items) == 0 {
-		return nil, false
-	}
-	v := m.items[0]
-	m.items = m.items[1:]
-	return v, true
+	v, _, ok := m.Next()
+	return v, ok
 }
 
 // Len returns the number of queued items.
 func (m *Mailbox) Len() int { return len(m.items) }
-
-// Closed reports whether Close has been called.
-func (m *Mailbox) Closed() bool { return m.closed }

@@ -27,11 +27,10 @@
 // admits it. Gates run on the kernel's goroutine, so they must not
 // block; their checks run at exactly the instants, priorities and
 // scheduling order of the Sleep and Cond wakeups they replace, so a
-// gated loop leaves the event schedule unchanged. A gate may also do
-// a process's whole steady-state work: each MPI connection's reader
-// reads and dispatches every message inside its gate, and is admitted,
-// and so gets a goroutine, only to tear the connection down.
-// Kernel.ProcSwitches counts the resumes that remain.
+// gated loop leaves the event schedule unchanged. A Waiter is a gate
+// with no process at all, first checked at a spawn's start slot: MPI's
+// accept loops and connection readers and each globus-io connection's
+// writer are Waiters. Kernel.ProcSwitches counts the resumes left.
 //
 // The event queue is a 4-ary indexed heap over pooled event structs:
 // scheduling on the steady-state hot path performs no allocation (use

@@ -442,3 +442,46 @@ func TestNewKernelHoldsNoSpanRing(t *testing.T) {
 		t.Errorf("tracer Capacity = %d, want %d", c, spans.DefaultCapacity)
 	}
 }
+
+// TestWaiterChecksAtGatedSlots: a Waiter's checks run in the events a
+// gated process's would: the first at a Spawn's start slot, then at
+// the Signal of the Cond its gate named, then after its retry delay.
+// It is not a process, so it adds no resume and no live process.
+func TestWaiterChecksAtGatedSlots(t *testing.T) {
+	k := New(1)
+	c := NewCond(k)
+	var log []string
+	checks := 0
+	w := NewWaiter(k, func() (*Cond, time.Duration) {
+		log = append(log, fmt.Sprintf("check %d at %v", checks, k.Now()))
+		checks++
+		switch checks {
+		case 1:
+			return c, 0
+		case 2:
+			return nil, time.Millisecond
+		}
+		return nil, 0
+	})
+	k.Spawn("before", func(*Ctx) { log = append(log, "before") })
+	w.Schedule()
+	k.Spawn("after", func(ctx *Ctx) {
+		log = append(log, "after")
+		ctx.Sleep(time.Millisecond)
+		c.Signal()
+		log = append(log, "signalled")
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"before", "check 0 at 0s", "after", "signalled", "check 1 at 1ms", "check 2 at 2ms"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("log = %q, want %q", log, want)
+	}
+	if got := k.ProcSwitches(); got != 3 {
+		t.Fatalf("%d process resumes, want 3 (the two processes' own)", got)
+	}
+	if n := k.LiveProcs(); n != 0 {
+		t.Fatalf("%d live processes, want 0", n)
+	}
+}

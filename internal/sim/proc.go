@@ -82,11 +82,44 @@ func (k *Kernel) newProc(name string, fn func(ctx *Ctx)) *Proc {
 func stepProc(a0, a1 any) { a0.(*Kernel).step(a1.(*Proc)) }
 
 // gateProc is the prebound callback of a gate check: it runs the
-// process's gate and wakes the process only if the gate admits.
+// process's gate and wakes the process only if the gate admits and
+// there is a process to wake (a Waiter has none).
 func gateProc(a0, a1 any) {
-	if a0.(*Kernel).checkGate(a1.(*Proc)) {
+	if p := a1.(*Proc); a0.(*Kernel).checkGate(p) && p.fn != nil {
 		stepProc(a0, a1)
 	}
+}
+
+// A Waiter is a gate with no process behind it, a handler that runs
+// in kernel context. Its checks after the first run where a gated
+// process's would: at the wakeup of the Cond the gate named, or after
+// its retry delay. A gate that admits leaves the Waiter idle until the
+// next Schedule, which must not come while it waits. A Waiter is not
+// one of the kernel's processes and never has a goroutine.
+type Waiter struct {
+	p    Proc
+	gate Gate
+}
+
+// NewWaiter returns an idle Waiter that runs gate on kernel k.
+func NewWaiter(k *Kernel, gate Gate) *Waiter {
+	w := &Waiter{gate: gate}
+	w.p.k = k
+	return w
+}
+
+// Schedule runs the gate in an event at the current instant, behind
+// the events already queued for it: the slot of a Spawn's start.
+func (w *Waiter) Schedule() {
+	k := w.p.k
+	k.AtFunc(k.now, PrioNormal, checkWaiter, w, nil)
+}
+
+// checkWaiter is Schedule's prebound callback.
+func checkWaiter(a0, _ any) {
+	w := a0.(*Waiter)
+	w.p.gate = w.gate
+	w.p.k.checkGate(&w.p)
 }
 
 // checkGate runs p's gate. If the gate admits, it clears the gate and

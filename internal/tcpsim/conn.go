@@ -276,8 +276,22 @@ func (c *Conn) write(ctx *sim.Ctx, n units.ByteSize, obj any) error {
 	if n < 0 {
 		return fmt.Errorf("tcpsim: negative write length %d", n)
 	}
+	remaining, wait, err := c.WriteStep(n, obj)
+	if wait != nil {
+		return c.awaitFill(ctx, remaining)
+	}
+	return err
+}
+
+// WriteStep is the non-blocking step of Write and WriteMsg, safe to
+// call from kernel context. It attaches obj, if not nil, to the end of
+// the n bytes and moves as many of them into the send buffer as fit.
+// It returns the bytes still to go and either sndCond, whose next
+// broadcast may free space, or the error that ends the write. A write
+// continues with WriteStep(remaining, nil).
+func (c *Conn) WriteStep(n units.ByteSize, obj any) (units.ByteSize, *sim.Cond, error) {
 	if err := c.writeErr(); err != nil {
-		return err
+		return n, nil, err
 	}
 	if obj != nil {
 		// Register the marker before any byte of the message can be
@@ -285,11 +299,7 @@ func (c *Conn) write(ctx *sim.Ctx, n units.ByteSize, obj any) error {
 		// always carries the marker too.
 		c.sndMarkers = append(c.sndMarkers, marker{pos: c.sndBufEnd + int64(n), obj: obj})
 	}
-	remaining, wait, err := c.fill(n)
-	if wait != nil {
-		return c.awaitFill(ctx, remaining)
-	}
-	return err
+	return c.fill(n)
 }
 
 // fillWait is the state of a write waiting for send-buffer space.

@@ -367,6 +367,21 @@ func (l *Listener) Accept(ctx *sim.Ctx) (*Conn, error) {
 	return v.(*Conn), nil
 }
 
+// Next is Accept's non-blocking step, safe to call from kernel
+// context. It returns the oldest established connection, or
+// ErrListenClosed once the listener is closed, or the Cond whose next
+// signal may bring a connection.
+func (l *Listener) Next() (*Conn, *sim.Cond, error) {
+	v, wait, ok := l.backlog.Next()
+	switch {
+	case ok:
+		return v.(*Conn), nil, nil
+	case wait == nil:
+		return nil, nil, ErrListenClosed
+	}
+	return nil, wait, nil
+}
+
 // Close stops accepting. Established-but-unaccepted connections are
 // reset.
 func (l *Listener) Close() {
